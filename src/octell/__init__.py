@@ -40,7 +40,7 @@ from .verify import (
 
 
 def backend() -> str:
-    """Name of the numeric kernel in use ('compiled' or 'pure')."""
+    """Name of the numeric kernel: 'pure', the pure-Python theta-quotient kernel."""
     return _BACKEND
 
 

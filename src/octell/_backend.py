@@ -1,36 +1,20 @@
-"""Kernel backend selection.
+"""The numeric kernels, looked up here at call time by `evaluate` and `lattice`.
 
-The compiled extension is preferred when importable; OCTELL_BACKEND=pure
-forces the Python kernels (OCTELL_BACKEND=compiled insists on the extension
-and raises if it is missing).
+There is one implementation, the pure-Python `_pycore`; `BACKEND` names it in
+reports. Looking the kernels up through this module gives profilers one place
+to wrap them.
 """
 from __future__ import annotations
 
-import os
+from ._pycore import (
+    HALF_BOTH,
+    HALF_IM,
+    HALF_RE,
+    OK,
+    agm,
+    lattice_sum,
+    wp_pair,
+)
+from ._pycore import POLE as POLE_FLAG
 
-_choice = os.environ.get("OCTELL_BACKEND", "auto").strip().lower()
-
-if _choice in ("", "auto"):
-    try:
-        from . import _core as kernels
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pycore as kernels
-        BACKEND = "pure"
-elif _choice in ("compiled", "ext", "c"):
-    from . import _core as kernels
-    BACKEND = "compiled"
-elif _choice in ("pure", "py", "python"):
-    from . import _pycore as kernels
-    BACKEND = "pure"
-else:
-    raise ImportError(f"unrecognized OCTELL_BACKEND value: {_choice!r}")
-
-agm = kernels.agm
-wp_pair = kernels.wp_pair
-lattice_sum = kernels.lattice_sum
-OK = kernels.OK
-POLE_FLAG = kernels.POLE
-HALF_RE = kernels.HALF_RE
-HALF_IM = kernels.HALF_IM
-HALF_BOTH = kernels.HALF_BOTH
+BACKEND = "pure"

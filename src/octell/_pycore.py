@@ -1,18 +1,38 @@
-"""Pure-Python numeric kernels: AGM, joint wp/wp' evaluation, lattice sum.
+"""Numeric kernels: AGM, joint R/R' evaluation, lattice sum.
 
-Mirror of the compiled `_core` extension; `_backend` picks whichever is
-available. Keep the two implementations algorithmically identical; tests
-assert they agree to near machine precision.
+`wp_pair` evaluates R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
+R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
+
+    wp(z) - e1 = (pi/2w)^2 (theta3(0) theta4(0) theta2(v) / theta1(v))^2,
+    v = pi z / (2w),  nome q = exp(-pi w2i / w1),
+
+with the theta series of DLMF §20.2(i). The half-period w is always the
+shorter one, so q <= exp(-pi) and a few terms reach full precision:
+
+- w1 <= w2i: the formula above, with w = w1.
+- w1 > w2i: rotate the lattice by i. wp(z; L) = -wp(iz; iL), and on iL the
+  real half-period w2i is the shorter one, so
+  R(z) = -(wp(iz; iL) - e3') = -(pi/2w)^2 (theta2(0) theta3(0) theta4(v) /
+  theta1(v))^2 with v = pi iz / (2w) and q = exp(-pi w1 / w2i).
+
+The root gaps of this curve are e1 - e3 = beta and e1 - e2 = 1/beta, so the
+theta forms of the root gaps (also DLMF §23.6(i)) give
+(pi/2w)^2 theta3^2 theta4^2 = 1 in the first case and
+(pi/2w)^2 theta2^2 theta3^2 = 1 in the second: the theta constants drop out.
+
+The series are summed in b = exp(2iv) and a = q/b. On the quarter cell
+0 <= Re z <= w1, 0 <= Im z <= w2i both have modulus at most 1, and the terms
+of theta1(v) pair into (b - 1) times a Laurent polynomial in b, so R keeps
+full relative precision next to the pole. Every other point is folded onto
+the quarter cell, and the signs are restored by exact conjugation and
+negation, which keeps Schwarz reflection and parity bit-exact.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
-# Laurent coefficient count (c_2..c_KMAX). The halving radius keeps the term
-# ratio <= 0.16, so 40 coefficients reach far below the 1e-18 cutoff.
-KMAX = 40
-
-# kernel status flags shared with the compiled backend
+# kernel status flags
 OK = 0
 POLE = 1
 HALF_RE = 2   # congruent to omega1        -> wp = e1, wp' = 0
@@ -34,54 +54,65 @@ def _round_half_to_zero(x: float) -> float:
     return float(r) if x >= 0.0 else float(-r)
 
 
-_coeff_cache: dict = {}
+class ThetaConstants(
+    namedtuple("ThetaConstants", "w1 w2i rotated k2 q inv_sqrt_q t n")
+):
+    """Per-lattice constants of `wp_pair`.
+
+    - w1, w2i: the half-periods.
+    - rotated: w1 > w2i, so the kernel works on the lattice rotated by i.
+    - k2: pi / w for the shorter half-period w, so that b = exp(2iv).
+    - q, inv_sqrt_q: the nome and 1/sqrt(q).
+    - t, n: coefficients (c0, c1, c2, c3, d1, d2, d3) of series
+      c0 + c1 b + c2 b^2 + c3 b^3 + d1 a + d2 a^2 + d3 a^3. `t` is what
+      theta1(v) = -i q^(1/4) b^(-1/2) (b - 1) t(b) leaves after the (b - 1)
+      factor, and theta2(v) = q^(1/4) b^(-1/2) (b + 1) t(-b); `n` is
+      theta4(v) = n(b), needed on the rotated lattice only.
+
+    With |a|, |b| <= 1 the j-th terms are bounded by q^(j^2) or q^(j(j+-1)),
+    so every term left out is below q^12 <= exp(-12 pi) < 4.3e-17, against
+    sums of size about 1.
+    """
+
+    __slots__ = ()
 
 
-def _laurent_coeffs(g2: float, g3: float) -> tuple:
-    key = (g2, g3)
-    cached = _coeff_cache.get(key)
-    if cached is not None:
-        return cached
-    c = [0.0] * (KMAX + 1)
-    c[2] = g2 / 20.0
-    c[3] = g3 / 28.0
-    for k in range(4, KMAX + 1):
-        s = 0.0
-        for m in range(2, k - 1):
-            s += c[m] * c[k - m]
-        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    if len(_coeff_cache) > 64:
-        _coeff_cache.clear()
-    out = tuple(c)
-    _coeff_cache[key] = out
-    return out
+def theta_constants(w1: float, w2i: float) -> ThetaConstants:
+    """The constants `wp_pair` needs for the lattice (2*w1, 2i*w2i)."""
+    rotated = w1 > w2i
+    short, long_ = (w2i, w1) if rotated else (w1, w2i)
+    q = math.exp(-math.pi * long_ / short)
+
+    def tail(j, shift):
+        # sum over n >= j of (-1)^n q^(n(n+1) - shift)
+        return sum((-1) ** n * q ** (n * (n + 1) - shift) for n in range(j, 6))
+
+    t = tuple(tail(j, 0) for j in range(4)) + tuple(tail(j, j) for j in range(1, 4))
+    n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(
+        (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
+    )
+    return ThetaConstants(w1, w2i, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n)
 
 
-def _series(u: complex, coeffs: tuple) -> tuple:
-    """Laurent series wp(u) = 1/u^2 + sum c_k u^(2k-2) and its derivative."""
-    u2 = u * u
-    p = 1.0 / u2
-    dp = -2.0 / (u2 * u)
-    zpow = u2          # u^(2k-2), starting at k = 2
-    zpow_d = u         # u^(2k-3)
-    for k in range(2, KMAX + 1):
-        ck = coeffs[k]
-        t = ck * zpow
-        p += t
-        dp += (2 * k - 2) * ck * zpow_d
-        if abs(t) <= 1e-18 * abs(p):
-            break
-        zpow *= u2
-        zpow_d *= u2
-    return p, dp
+def _even_odd(coeffs: tuple, b, b2, b3, a, a2, a3):
+    """Even and odd parts of a series in b, then those of its b d/db."""
+    c0, c1, c2, c3, d1, d2, d3 = coeffs
+    t1 = c1 * b
+    s1 = d1 * a
+    t2 = c2 * b2
+    s2 = d2 * a2
+    t3 = c3 * b3
+    s3 = d3 * a3
+    return c0 + t2 + s2, t1 + s1 + t3 + s3, 2.0 * (t2 - s2), t1 - s1 + 3.0 * (t3 - s3)
 
 
-def wp_pair(z: complex, w1: float, w2i: float, g2: float, g3: float):
-    """(wp(z), wp'(z), flag) for the rectangular lattice (2*w1, 2i*w2i).
+def wp_pair(z: complex, theta: ThetaConstants):
+    """(R(z), R'(z), flag) with R = wp - e1, on the lattice of `theta`.
 
     flag: OK, POLE, or one of the HALF_* codes; values are only meaningful
     for OK (the caller substitutes exact root values for HALF_*).
     """
+    w1, w2i, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
     per_min = 2.0 * w1 if w1 <= w2i else 2.0 * w2i
     eps = 1e-12 * per_min
     x = z.real - 2.0 * w1 * _round_half_to_zero(z.real / (2.0 * w1))
@@ -97,18 +128,51 @@ def wp_pair(z: complex, w1: float, w2i: float, g2: float, g3: float):
     if math.hypot(gx, gy) <= eps:
         return 0j, 0j, HALF_BOTH
 
-    r0 = 0.4 * per_min
-    r = math.hypot(x, y)
-    h = 0
-    while r > r0:
-        r *= 0.5
-        h += 1
-    u = complex(x, y) / float(2 ** h)
-    p, dp = _series(u, _laurent_coeffs(g2, g3))
-    for _ in range(h):
-        lam = (6.0 * p * p - 0.5 * g2) / (2.0 * dp)
-        p, dp = lam * lam - 2.0 * p, lam * (6.0 * p - 2.0 * lam * lam) - dp
-    return p, dp, OK
+    # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
+    if rotated:
+        s, t = -k2 * abs(x), -k2 * abs(y)
+    else:
+        s, t = -k2 * abs(y), k2 * abs(x)
+    e = math.exp(s)
+    c = math.cos(t)
+    sn = math.sin(t)
+    h = math.sin(0.5 * t)
+    b = complex(e * c, e * sn)
+    bm1 = complex(math.expm1(s) * c - 2.0 * h * h, e * sn)
+    qe = q / e
+    a = complex(qe * c, -qe * sn)
+    b2 = b * b
+    a2 = a * a
+    powers = (b, b2, b2 * b, a, a2, a2 * a)
+
+    even, odd, deven, dodd = _even_odd(t_coeffs, *powers)
+    tp = even + odd
+    den = bm1 * tp                                  # theta1 without its prefactor
+    dden = b * tp + bm1 * (deven + dodd)            # b d(den)/db
+    if rotated:
+        # R = b theta4^2 / (sqrt(q) den^2)
+        even, odd, deven, dodd = _even_odd(n_coeffs, *powers)
+        u = (even + odd) / den
+        g = inv_sqrt_q * b * u
+        r = g * u
+        dr = -k2 * g * (u + 2.0 * (deven + dodd - u * dden) / den)
+    else:
+        # R = -(num / den)^2 with num = (b + 1) t(-b), theta2 without its prefactor
+        tm = even - odd
+        bp1 = b + 1.0
+        u = bp1 * tm / den
+        r = -u * u
+        dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
+
+    if y == 0.0:       # real axis: R and R' real
+        r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
+    elif x == 0.0:     # imaginary axis: R real, R' imaginary
+        r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
+    if (x < 0.0) != (y < 0.0):
+        r, dr = r.conjugate(), dr.conjugate()
+    if x < 0.0:
+        dr = -dr
+    return r, dr, OK
 
 
 def lattice_sum(z: complex, w1: float, w2i: float, cutoff: int) -> complex:

@@ -1,15 +1,15 @@
-"""Evaluation of wp, wp' and the shifted function R = wp - alpha.
+"""Evaluation of R = wp - alpha, wp and wp'.
 
 R satisfies R'^2 = 4 R (R + beta) (R + 1/beta); its value at a lattice point
-is the distinguished POLE marker rather than an error. The evaluator reduces
-into the fundamental cell, runs the Laurent series inside the safe radius and
-doubles back out with the duplication formula; `wp_lattice_sum_oracle` is the
-slow independent cross-check.
+is the distinguished POLE marker rather than an error. One kernel call per
+point (`_pycore.wp_pair`) reduces into the fundamental cell, snaps lattice
+points and half-periods, and otherwise evaluates R and R' directly as a theta
+quotient (DLMF §23.6(i), series from §20.2(i)); `wp` adds e1 = alpha.
+`wp_lattice_sum_oracle` is the slow independent cross-check.
 """
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from . import _backend
 from ._pycore import _round_half_to_zero
@@ -28,7 +28,7 @@ class _Pole:
 
 POLE = _Pole()
 
-NodeValue = Union[complex, _Pole]
+NodeValue = complex | _Pole
 
 
 def is_pole(value: NodeValue) -> bool:
@@ -42,19 +42,27 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def wp_with_prime(z: complex, lat: Lattice, par: CurveParams):
-    """(wp(z), wp'(z)) sharing one reduction; both POLE at lattice points."""
+def _R_with_prime(z: complex, lat: Lattice, par: CurveParams):
+    """(R(z), R'(z)) from one kernel call; both POLE at lattice points."""
     z = _check_z(z)
-    p, dp, flag = _backend.wp_pair(z, lat.omega1, lat.omega2_im, par.g2, par.g3)
+    r, dr, flag = _backend.wp_pair(z, lat.theta)
     if flag == _backend.OK:
-        return p, dp
+        return r, dr
     if flag == _backend.POLE_FLAG:
         return POLE, POLE
     if flag == _backend.HALF_RE:
-        return complex(par.e1), 0j
+        return 0j, 0j
     if flag == _backend.HALF_IM:
-        return complex(par.e3), 0j
-    return complex(par.e2), 0j
+        return complex(-par.beta), 0j
+    return complex(-1.0 / par.beta), 0j
+
+
+def wp_with_prime(z: complex, lat: Lattice, par: CurveParams):
+    """(wp(z), wp'(z)) sharing one reduction; both POLE at lattice points."""
+    r, dr = _R_with_prime(z, lat, par)
+    if r is POLE:
+        return POLE, POLE
+    return r + par.e1, dr
 
 
 def wp(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
@@ -62,26 +70,22 @@ def wp(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
 
 
 def wp_prime(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
-    return wp_with_prime(z, lat, par)[1]
+    return _R_with_prime(z, lat, par)[1]
 
 
 def essential_R(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
     """R(z) = wp(z) - alpha, or POLE at lattice points."""
-    p = wp(z, lat, par)
-    if p is POLE:
-        return POLE
-    return p - par.alpha
+    return _R_with_prime(z, lat, par)[0]
 
 
 def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
     """(R'(z)/R(z))^2. Rejects lattice points and zeros of R."""
-    p, dp = wp_with_prime(z, lat, par)
-    if p is POLE:
+    r, dr = _R_with_prime(z, lat, par)
+    if r is POLE:
         raise ValueError("z is a lattice point (pole of R)")
-    r = p - par.alpha
     if r == 0:
         raise ValueError("R(z) = 0; logarithmic derivative undefined")
-    q = dp / r
+    q = dr / r
     return q * q
 
 
@@ -94,7 +98,7 @@ def _is_near_lattice(z: complex, lat: Lattice) -> bool:
 
 
 def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
-    """Direct lattice sum for wp(z): slow, independent of the Laurent path."""
+    """Direct lattice sum for wp(z): slow, independent of the theta path."""
     z = _check_z(z)
     cutoff = int(cutoff)
     if cutoff < 10:

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _backend
+from ._pycore import ThetaConstants, theta_constants
 from .params import CurveParams
 
 
@@ -20,6 +22,11 @@ class Lattice:
     @property
     def omega2(self) -> complex:
         return complex(0.0, self.omega2_im)
+
+    @cached_property
+    def theta(self) -> ThetaConstants:
+        """Constants of the theta-quotient kernel, computed once per lattice."""
+        return theta_constants(self.omega1, self.omega2_im)
 
 
 def agm(a: float, b: float) -> float:

@@ -41,7 +41,9 @@ def derive_params(beta: float) -> CurveParams:
         raise ValueError(f"beta must be a finite number > 1 (got {beta!r})")
     inv = 1.0 / beta
     alpha = (beta + inv) / 3.0
-    d = beta - inv
+    # (beta - 1)(1 + 1/beta) rather than beta - 1/beta: beta - 1 is exact
+    # near 1, where the difference would cancel most of d's digits
+    d = (beta - 1.0) * (1.0 + inv)
     delta = (beta / d) ** 0.5
     e1 = alpha
     e2 = alpha - inv

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 from .evaluate import POLE, NodeValue
 from .params import BETA_FLOOR, CurveParams

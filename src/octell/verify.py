@@ -1,5 +1,6 @@
-"""Cross-checks: closed forms vs the Laurent evaluator vs a half-argument
-(bisection) oracle, plus the geometric claims, in one machine-readable report.
+"""Cross-checks: closed forms vs the theta-quotient evaluator vs a
+half-argument (bisection) oracle, plus the geometric claims, in one
+machine-readable report.
 
 The half-argument oracle rebuilds every eighth-period value from the exact
 half-period seeds (0, -beta, -1/beta, pole) using only the bisection identity

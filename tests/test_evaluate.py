@@ -64,9 +64,10 @@ def test_periodicity(beta):
 
 
 def test_even_and_odd(p3, lat3):
+    # the kernel folds z onto one quarter cell and restores signs exactly
     for z in cell_points(lat3, 8, seed=5):
-        assert wp(-z, lat3, p3) == pytest.approx(wp(z, lat3, p3), rel=1e-12)
-        assert wp_prime(-z, lat3, p3) == pytest.approx(-wp_prime(z, lat3, p3), rel=1e-12)
+        assert wp(-z, lat3, p3) == wp(z, lat3, p3)
+        assert wp_prime(-z, lat3, p3) == -wp_prime(z, lat3, p3)
 
 
 def test_schwarz_reflection_is_exact(p3, lat3):
@@ -75,6 +76,20 @@ def test_schwarz_reflection_is_exact(p3, lat3):
     for z in cell_points(lat3, 10, seed=7):
         assert wp(z.conjugate(), lat3, p3) == wp(z, lat3, p3).conjugate()
         assert essential_R(z.conjugate(), lat3, p3) == essential_R(z, lat3, p3).conjugate()
+
+
+@pytest.mark.parametrize("beta", [1.2, 3.0])   # omega1 < omega2_im, then >
+def test_axes_exactly_real(beta):
+    # R is real on both axes; R' is real on the real axis, imaginary on the other
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    for t in (0.13, 0.5, 0.87, -0.61):
+        x = complex(t * lat.omega1, 0.0)
+        y = complex(0.0, t * lat.omega2_im)
+        assert essential_R(x, lat, p).imag == 0.0
+        assert essential_R(y, lat, p).imag == 0.0
+        assert wp_prime(x, lat, p).imag == 0.0
+        assert wp_prime(y, lat, p).real == 0.0
 
 
 @pytest.mark.parametrize("beta", SAMPLE_BETAS)
@@ -110,6 +125,37 @@ def test_essential_shift(p3, lat3):
         assert essential_R(z, lat3, p3) == pytest.approx(
             wp(z, lat3, p3) - p3.alpha, rel=1e-14
         )
+
+
+# --- mpmath reference ------------------------------------------------------
+
+MPMATH_BETAS = (1.0 + 1e-6, 1.001, 3.0, 50.0, 1e3, 1e6, 1e12)
+
+
+def mpmath_R_and_prime(beta, z):
+    """R = beta cn^2/sn^2 (sqrt(beta) z | 1 - 1/beta^2) and
+    R' = -2 beta^(3/2) cn dn / sn^3, at 40 digits and the exact float z."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        m = 1 - 1 / (b * b)
+        sb = mp.sqrt(b)
+        u = sb * mp.mpc(z)
+        sn, cn, dn = (mp.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+        return complex(b * cn * cn / (sn * sn)), complex(-2 * b * sb * cn * dn / sn**3)
+
+
+@pytest.mark.parametrize("beta", MPMATH_BETAS)
+def test_matches_mpmath_over_the_cell(beta):
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    worst = 0.0
+    for z in cell_points(lat, 8, seed=17):
+        ref, dref = mpmath_R_and_prime(beta, z)
+        r = essential_R(z, lat, p)
+        dr = wp_prime(z, lat, p)
+        worst = max(worst, abs(r - ref) / max(1.0, abs(ref)), abs(dr - dref) / max(1.0, abs(dref)))
+    assert worst <= 1e-13, f"worst scaled error {worst:.3g} at beta={beta!r}"
 
 
 # --- lattice-sum cross-check ------------------------------------------------
