@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from . import _backend
-from ._pycore import _round_half_to_zero
 from .lattice import Lattice
 from .params import CurveParams
 
@@ -89,20 +88,12 @@ def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
     return q * q
 
 
-def _is_near_lattice(z: complex, lat: Lattice) -> bool:
-    w1, w2i = lat.omega1, lat.omega2_im
-    per_min = 2.0 * min(w1, w2i)
-    x = z.real - 2.0 * w1 * _round_half_to_zero(z.real / (2.0 * w1))
-    y = z.imag - 2.0 * w2i * _round_half_to_zero(z.imag / (2.0 * w2i))
-    return math.hypot(x, y) <= 1e-12 * per_min
-
-
 def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
     """Direct lattice sum for wp(z): slow, independent of the theta path."""
     z = _check_z(z)
     cutoff = int(cutoff)
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
-    if _is_near_lattice(z, lat):
+    if _backend.wp_pair(z, lat.theta)[2] == _backend.POLE_FLAG:
         raise ValueError("z is (numerically) a lattice point")
     return _backend.lattice_sum(z, lat.omega1, lat.omega2_im, cutoff)

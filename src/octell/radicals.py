@@ -112,11 +112,8 @@ def _gamma4_shared(beta: float) -> dict:
     }
 
 
-def gamma4(params: CurveParams, which: int) -> complex:
-    """One of the four order-8 closed forms (which in {41, 42, 43, 44})."""
-    beta = params.beta
-    _warn_floor(beta)
-    s = _gamma4_shared(beta)
+def _gamma4_from(s: dict, which: int) -> complex:
+    """One order-8 closed form from the radicals of `_gamma4_shared`."""
     x, y = s["x"], s["y"]
     if which == 41:
         return (1.0 - s["half"]) * complex(
@@ -137,6 +134,12 @@ def gamma4(params: CurveParams, which: int) -> complex:
     raise ValueError(f"which must be one of 41, 42, 43, 44 (got {which!r})")
 
 
+def gamma4(params: CurveParams, which: int) -> complex:
+    """One of the four order-8 closed forms (which in {41, 42, 43, 44})."""
+    _warn_floor(params.beta)
+    return _gamma4_from(_gamma4_shared(params.beta), which)
+
+
 def build_catalog(params: CurveParams) -> RadicalCatalog:
     beta = params.beta
     delta = params.delta
@@ -148,6 +151,7 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     delta_pm = (1.0 - dpm_off, 1.0 + dpm_off)
     g0_im = math.sqrt(beta - 1.0)
     tilt = complex(1.0, math.sqrt(delta - 1.0))  # 1 + i*sqrt(delta-1)
+    g4 = _gamma4_shared(beta)
     return RadicalCatalog(
         gamma_minus_r=1.0 - 1.0 / delta,
         gamma_plus_r=1.0 + 1.0 / delta,
@@ -163,10 +167,10 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
         gamma0=complex(1.0, -g0_im),
         gamma_lo=1.0 - delta_pm[0] * tilt / delta,
         gamma_hi=1.0 - delta_pm[1] * tilt / delta,
-        gamma41=gamma4(params, 41),
-        gamma42=gamma4(params, 42),
-        gamma43=gamma4(params, 43),
-        gamma44=gamma4(params, 44),
+        gamma41=_gamma4_from(g4, 41),
+        gamma42=_gamma4_from(g4, 42),
+        gamma43=_gamma4_from(g4, 43),
+        gamma44=_gamma4_from(g4, 44),
         b_const=_B,
     )
 

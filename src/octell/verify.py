@@ -1,6 +1,10 @@
 """Cross-checks: closed forms vs the theta-quotient evaluator vs a
 half-argument (bisection) oracle, plus the geometric claims, in one
-machine-readable report.
+machine-readable report. `verify_grid` builds each input once and every check
+reads it. Node (m, n) is z = (m*omega1 + n*omega2)/4, so row n runs along
++omega2 (`orientation_flipped` is always false). Every comparison of one
+value of R with another takes the worst scaled error |a - b| / max(1, |a|)
+over its pairs against a limit.
 
 The half-argument oracle rebuilds every eighth-period value from the exact
 half-period seeds (0, -beta, -1/beta, pole) using only the bisection identity
@@ -17,7 +21,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evaluate import POLE, NodeValue, essential_R, is_pole, log_deriv_sq
 from .lattice import Lattice, compute_lattice
@@ -110,6 +114,22 @@ def _scaled_err(closed: complex, other: complex) -> float:
     return abs(closed - other) / max(1.0, abs(closed))
 
 
+def _worst_check(
+    name: str, limit: float, label: str, pairs, note: str = ""
+) -> PropertyResult:
+    """Pass when the largest `_scaled_err` over (reference, other) pairs is
+    within limit. Pairs holding a pole or an inconclusive None are skipped; a
+    non-empty note names nodes that could not be compared, and fails."""
+    errs = [
+        _scaled_err(a, b)
+        for a, b in pairs
+        if not (a is None or b is None or is_pole(a) or is_pole(b))
+    ]
+    worst = max([0.0, *errs])
+    passed = worst <= limit and not note
+    return PropertyResult(name, passed, f"{label} {worst:.3e}{note}")
+
+
 # ---------------------------------------------------------------------------
 # half-argument oracle
 
@@ -195,6 +215,17 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
         T[m][n] = v
         done[m][n] = True
 
+    def translate(step):
+        # translate the base block m, n <= 4 onto the rest of the step-grid
+        for n in range(0, 5, step):
+            for m in range(4 + step, 9, step):
+                if not done[m][n]:
+                    put(m, n, shift_m(T[m - 4][n]))
+        for m in range(0, 9, step):
+            for n in range(4 + step, 9, step):
+                if not done[m][n]:
+                    put(m, n, shift_n(T[m][n - 4]))
+
     # exact half-period seeds
     for m, n in ((0, 0), (8, 0), (0, 8), (8, 8)):
         put(m, n, POLE)
@@ -207,53 +238,35 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     put(2, 2, halve(T[4][4], 2, 2))
     put(4, 2, shift_m(T[0][2]))
     put(2, 4, shift_n(T[2][0]))
-    # remaining even nodes by translation
-    for n in (0, 2, 4):
-        for m in (6, 8):
-            if not done[m][n]:
-                put(m, n, shift_m(T[m - 4][n]))
-    for m in (0, 2, 4, 6, 8):
-        for n in (6, 8):
-            if not done[m][n]:
-                put(m, n, shift_n(T[m][n - 4]))
+    translate(2)  # remaining even nodes
     # eighth-period nodes in the base block by a second bisection
     for m in range(5):
         for n in range(5):
             if not done[m][n]:
                 put(m, n, halve(T[2 * m][2 * n], m, n))
-    # translate the rest
-    for n in range(5):
-        for m in (5, 6, 7, 8):
-            if not done[m][n]:
-                put(m, n, shift_m(T[m - 4][n]))
-    for m in range(9):
-        for n in (5, 6, 7, 8):
-            if not done[m][n]:
-                put(m, n, shift_n(T[m][n - 4]))
+    translate(1)  # the rest
     return T
 
 
 # ---------------------------------------------------------------------------
 # claims
 
-def verify_claims(beta: float) -> list[PropertyResult]:
-    """The geometric/figure claims for one beta, as property results."""
-    params = derive_params(beta)
-    lat = compute_lattice(params)
-    table = grid_table(params)
+def verify_claims(
+    params: CurveParams, lat: Lattice, table: ClosedFormTable
+) -> list[PropertyResult]:
+    """The geometric/figure claims for one curve, as property results."""
     beta = params.beta
     d = params.d
     radius = beta / params.delta
     results = []
 
     # (a) (R'/R)^2 = 4d at the four half-rectangle centers
-    centers = {}
-    worst = 0.0
-    for m, n in ((2, 2), (6, 2), (2, 6), (6, 6)):
-        q = log_deriv_sq(_node_z(lat, m, n), lat, params)
-        err = abs(q - 4.0 * d) / (4.0 * d)
-        centers[(m, n)] = err
-        worst = max(worst, err)
+    q_at = {
+        (m, n): log_deriv_sq(_node_z(lat, m, n), lat, params)
+        for m, n in ((2, 2), (6, 2), (2, 6), (6, 6))
+    }
+    centers = {mn: abs(q - 4.0 * d) / (4.0 * d) for mn, q in q_at.items()}
+    worst = max([0.0, *centers.values()])
     results.append(
         PropertyResult(
             "log_deriv_sq_at_centers",
@@ -308,8 +321,7 @@ def verify_claims(beta: float) -> list[PropertyResult]:
     )
 
     # (e) (R'/R)^2(center) / d = 4 (discriminant_sqrt link: disc = d^2)
-    q = log_deriv_sq(_node_z(lat, 2, 2), lat, params)
-    ratio = q / params.discriminant_sqrt
+    ratio = q_at[(2, 2)] / params.discriminant_sqrt
     e_ratio = abs(ratio - 4.0) / 4.0
     results.append(
         PropertyResult(
@@ -324,68 +336,46 @@ def verify_claims(beta: float) -> list[PropertyResult]:
 # ---------------------------------------------------------------------------
 # grid verification
 
-def _detect_flip(table: ClosedFormTable, numeric, tol: float) -> bool:
-    """True when row n=1 matches the conjugate of the transcribed row instead
-    (i.e. the figure's rows run against +omega2); applied as a single global
-    n -> 8-n reindex, implemented by conjugating the numeric values."""
-    direct_all = True
-    conj_all = True
-    for m in (1, 3, 5, 7):
-        closed = table.value(m, 1)
-        num = numeric[m][1]
-        if is_pole(closed) or is_pole(num):
-            continue
-        scale = max(1.0, abs(closed))
-        if abs(num - closed) > tol * scale:
-            direct_all = False
-        if abs(num - closed.conjugate()) > tol * scale:
-            conj_all = False
-    return conj_all and not direct_all
-
-
 def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
     """Circle inversion maps each family of mapped coordinate lines onto the
     symmetric member of the same family; spot-check pointwise."""
     beta = params.beta
     d = params.d
     w1, w2i = lat.omega1, lat.omega2_im
-    results = []
-
-    worst_red = 0.0
-    for k in (2, 4, 6):
-        c = k * w2i / 8.0
-        for j in range(17):
-            t = (j + 0.3) * 2.0 * w1 / 17.0
-            v = essential_R(complex(t, c), lat, params)
-            # inversion about the circle centered -beta, radius beta/delta
-            inv = -beta + beta * d / (v + beta).conjugate()
-            tgt = essential_R(complex(t, w2i - c), lat, params)
-            worst_red = max(worst_red, abs(inv - tgt) / max(1.0, abs(tgt)))
-    results.append(
-        PropertyResult(
+    # inversion about the circle centered -beta, radius beta/delta, maps the
+    # red line at height k*w2i/8 onto the one at (8-k)*w2i/8
+    ts = [(j + 0.3) * 2.0 * w1 / 17.0 for j in range(17)]
+    red = {
+        k: [essential_R(complex(t, k * w2i / 8.0), lat, params) for t in ts]
+        for k in (2, 4, 6)
+    }
+    return [
+        _worst_check(
             "red_circle_inverts_red_lines",
-            worst_red <= INVERSION_TOL,
-            f"lines k=2,4,6 vs k=14,12,10 (same parameter), max rel err {worst_red:.3e}",
-        )
-    )
-
-    worst_blue = 0.0
-    for k in (2, 4, 6):
-        a = k * w1 / 8.0
-        for j in range(17):
-            s = (j + 0.3) * 2.0 * w2i / 17.0
-            v = essential_R(complex(a, s), lat, params)
-            inv = 1.0 / v.conjugate()  # unit-circle inversion
-            tgt = essential_R(complex(a + w1, -s), lat, params)
-            worst_blue = max(worst_blue, abs(inv - tgt) / max(1.0, abs(tgt)))
-    results.append(
-        PropertyResult(
+            INVERSION_TOL,
+            "lines k=2,4,6 vs k=14,12,10 (same parameter), max rel err",
+            (
+                (tgt, -beta + beta * d / (v + beta).conjugate())
+                for k in (2, 4, 6)
+                for v, tgt in zip(red[k], red[8 - k])
+            ),
+        ),
+        # unit-circle inversion maps the blue line at a onto the one at a + w1,
+        # with the parameter reflected
+        _worst_check(
             "blue_circle_inverts_blue_lines",
-            worst_blue <= INVERSION_TOL,
-            f"lines k=2,4,6 vs k=10,12,14 (reflected parameter), max rel err {worst_blue:.3e}",
-        )
-    )
-    return results
+            INVERSION_TOL,
+            "lines k=2,4,6 vs k=10,12,14 (reflected parameter), max rel err",
+            (
+                (
+                    essential_R(complex(a + w1, -s), lat, params),
+                    1.0 / essential_R(complex(a, s), lat, params).conjugate(),
+                )
+                for a in (k * w1 / 8.0 for k in (2, 4, 6))
+                for s in ((j + 0.3) * 2.0 * w2i / 17.0 for j in range(17))
+            ),
+        ),
+    ]
 
 
 def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
@@ -395,110 +385,79 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     params = derive_params(beta)
     lat = compute_lattice(params)
     table = grid_table(params)
-
     numeric = [
         [essential_R(_node_z(lat, m, n), lat, params) for n in range(9)]
         for m in range(9)
     ]
-    flipped = _detect_flip(table, numeric, tol)
     oracle = half_argument_oracle(params, lat)
-    if flipped:
-        conj = lambda v: v if (v is None or is_pole(v)) else v.conjugate()
-        numeric = [[conj(v) for v in col] for col in numeric]
-        oracle = [[conj(v) for v in col] for col in oracle]
 
+    # one pass over the nodes: closed forms vs the evaluator against tol, and
+    # the pairs that all three sources must agree on
     per_node = []
-    nodes_pass = True
-    for n in range(9):
-        for m in range(9):
-            closed = table.value(m, n)
-            num = numeric[m][n]
-            if is_pole(closed) and is_pole(num):
-                abs_err = rel_err = 0.0
-            elif is_pole(closed) or is_pole(num):
-                abs_err = rel_err = math.inf
-            else:
-                abs_err = abs(closed - num)
-                rel_err = abs_err / max(1.0, abs(closed))
-            if not rel_err <= tol:
-                nodes_pass = False
-            per_node.append(
-                NodeCheck(m, n, table.symbol(m, n), closed, num, abs_err, rel_err)
-            )
-
-    props = verify_claims(params.beta)
-
-    # triple-source pairwise agreement on every node
-    worst_pair = 0.0
+    triples = []
     bad = []
     inconclusive = []
     for n in range(9):
         for m in range(9):
             closed, num, orc = table.value(m, n), numeric[m][n], oracle[m][n]
+            if is_pole(closed) != is_pole(num):
+                abs_err = rel_err = math.inf
+            elif is_pole(closed):
+                abs_err = rel_err = 0.0
+            else:
+                abs_err = abs(closed - num)
+                rel_err = _scaled_err(closed, num)
+            per_node.append(
+                NodeCheck(m, n, table.symbol(m, n), closed, num, abs_err, rel_err)
+            )
             if orc is None:
                 inconclusive.append((m, n))
-                continue
-            kinds = {is_pole(closed), is_pole(num), is_pole(orc)}
-            if kinds == {True}:
-                continue
-            if len(kinds) == 2:
+            elif len({is_pole(closed), is_pole(num), is_pole(orc)}) == 2:
                 bad.append((m, n))
-                continue
-            e = max(
-                _scaled_err(closed, num),
-                _scaled_err(closed, orc),
-                _scaled_err(num, orc),
-            )
-            worst_pair = max(worst_pair, e)
-    triple_ok = not bad and not inconclusive and worst_pair <= TRIPLE_TOL
-    detail = f"max pairwise scaled err {worst_pair:.3e}"
+            else:
+                triples += ((closed, num), (closed, orc), (num, orc))
+    note = ""
     if inconclusive:
-        detail += f"; inconclusive oracle nodes {inconclusive}"
+        note += f"; inconclusive oracle nodes {inconclusive}"
     if bad:
-        detail += f"; pole/finite disagreement at {bad}"
-    props.append(PropertyResult("triple_source_agreement", triple_ok, detail))
+        note += f"; pole/finite disagreement at {bad}"
 
-    # oracle vs closed forms on the two axes
-    worst_axes = 0.0
-    for m in range(9):
-        for pos in ((m, 0), (0, m)):
-            closed, orc = table.value(*pos), oracle[pos[0]][pos[1]]
-            if orc is None or is_pole(closed) or is_pole(orc):
-                continue
-            worst_axes = max(worst_axes, _scaled_err(closed, orc))
-    props.append(
-        PropertyResult(
+    axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
+    props = verify_claims(params, lat, table) + [
+        _worst_check(
+            "triple_source_agreement",
+            TRIPLE_TOL,
+            "max pairwise scaled err",
+            triples,
+            note,
+        ),
+        _worst_check(
             "oracle_matches_closed_on_axes",
-            worst_axes <= AXES_TOL,
-            f"max scaled err {worst_axes:.3e}",
-        )
-    )
-
-    # Schwarz reflection between mirror rows
-    worst_conj = 0.0
-    for n in range(9):
-        for m in range(9):
-            a, b = numeric[m][n], numeric[m][8 - n]
-            if is_pole(a) or is_pole(b):
-                continue
-            worst_conj = max(
-                worst_conj, abs(a - b.conjugate()) / max(1.0, abs(a))
-            )
-    props.append(
-        PropertyResult(
+            AXES_TOL,
+            "max scaled err",
+            ((table.value(m, n), oracle[m][n]) for m, n in axes),
+        ),
+        # Schwarz reflection between mirror rows
+        _worst_check(
             "conjugate_node_consistency",
-            worst_conj <= CONJ_TOL,
-            f"max scaled err {worst_conj:.3e}",
-        )
-    )
+            CONJ_TOL,
+            "max scaled err",
+            (
+                (a, b.conjugate())
+                for col in numeric
+                for a, b in zip(col, reversed(col))
+                if not (is_pole(a) or is_pole(b))
+            ),
+        ),
+        *_line_inversion_checks(params, lat),
+    ]
 
-    props.extend(_line_inversion_checks(params, lat))
-
+    nodes_pass = all(c.rel_err <= tol for c in per_node)
     verdict = "pass" if nodes_pass and all(p.passed for p in props) else "fail"
     return VerificationReport(
         beta=params.beta,
         tol=tol,
-        orientation_flipped=flipped,
+        orientation_flipped=False,
         per_node=tuple(per_node),
         property_results=tuple(props),
         verdict=verdict,

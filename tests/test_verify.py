@@ -13,7 +13,9 @@ from octell import (
     verify_claims,
     verify_grid,
 )
-from octell.verify import _detect_flip, _halve_branch
+import octell.verify
+from octell.radicals import ClosedFormTable
+from octell.verify import _halve_branch
 
 
 @pytest.mark.parametrize("beta", [1.2, 3.0, 10.0])
@@ -70,8 +72,8 @@ def test_property_results_all_pass():
         assert prop.passed, f"{prop.name}: {prop.detail}"
 
 
-def test_claims_standalone(p3):
-    results = verify_claims(3.0)
+def test_claims_standalone(p3, lat3):
+    results = verify_claims(p3, lat3, grid_table(p3))
     names = {r.name for r in results}
     assert names == {
         "log_deriv_sq_at_centers",
@@ -127,36 +129,39 @@ def test_halve_branch_refuses_bad_probe():
     assert got is None
 
 
-# --- orientation detection --------------------------------------------------
+# --- one fixed row orientation, one setup per report ------------------------
 
-def _numeric_grid(beta):
-    from octell import essential_R
+def test_mirrored_rows_fail(monkeypatch):
+    # row n runs along +omega2; a table transcribed with its rows mirrored
+    # (row n holding row 8 - n, the conjugate values) must not pass
+    real_table = octell.verify.grid_table
 
-    params = derive_params(beta)
-    lat = compute_lattice(params)
-    return params, [
-        [
-            essential_R(
-                complex(m * lat.omega1 / 4.0, n * lat.omega2_im / 4.0), lat, params
-            )
-            for n in range(9)
-        ]
-        for m in range(9)
-    ]
+    def mirrored(params):
+        t = real_table(params)
+        return ClosedFormTable(t.beta, t._values[::-1], t._symbols[::-1])
 
-
-def test_detect_flip_false_on_direct_grid():
-    params, numeric = _numeric_grid(2.0)
-    assert _detect_flip(grid_table(params), numeric, 1e-9) is False
+    monkeypatch.setattr(octell.verify, "grid_table", mirrored)
+    rep = verify_grid(3.0)
+    assert rep.verdict == "fail"
+    assert not rep.orientation_flipped
+    triple = next(
+        p for p in rep.property_results if p.name == "triple_source_agreement"
+    )
+    assert not triple.passed
 
 
-def test_detect_flip_true_on_conjugated_grid():
-    # simulate an evaluator built against the mirrored row order
-    params, numeric = _numeric_grid(2.0)
-    mirrored = [
-        [v if is_pole(v) else v.conjugate() for v in col] for col in numeric
-    ]
-    assert _detect_flip(grid_table(params), mirrored, 1e-9) is True
+def test_report_builds_each_input_once(monkeypatch):
+    calls = {}
+    for name in ("grid_table", "derive_params", "compute_lattice"):
+        real = getattr(octell.verify, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(octell.verify, name, counted)
+    assert verify_grid(3.0).passed
+    assert calls == {"grid_table": 1, "derive_params": 1, "compute_lattice": 1}
 
 
 def test_verify_passes_near_beta_floor():
