@@ -25,7 +25,8 @@ The series are summed in b = exp(2iv) and a = q/b. On the quarter cell
 of theta1(v) pair into (b - 1) times a Laurent polynomial in b, so R keeps
 full relative precision next to the pole. Every other point is folded onto
 the quarter cell, and the signs are restored by exact conjugation and
-negation, which keeps Schwarz reflection and parity bit-exact.
+negation, which keeps Schwarz reflection and parity bit-exact. On the axes
+and the cell edges, where R is real, its imaginary part is set to exactly 0.
 """
 from __future__ import annotations
 
@@ -47,11 +48,6 @@ def agm(a: float, b: float) -> float:
             return a
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     raise RuntimeError("AGM did not converge within 64 iterations")
-
-
-def _round_half_to_zero(x: float) -> float:
-    r = math.ceil(abs(x) - 0.5)
-    return float(r) if x >= 0.0 else float(-r)
 
 
 class ThetaConstants(
@@ -94,18 +90,6 @@ def theta_constants(w1: float, w2i: float) -> ThetaConstants:
     return ThetaConstants(w1, w2i, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n)
 
 
-def _even_odd(coeffs: tuple, b, b2, b3, a, a2, a3):
-    """Even and odd parts of a series in b, then those of its b d/db."""
-    c0, c1, c2, c3, d1, d2, d3 = coeffs
-    t1 = c1 * b
-    s1 = d1 * a
-    t2 = c2 * b2
-    s2 = d2 * a2
-    t3 = c3 * b3
-    s3 = d3 * a3
-    return c0 + t2 + s2, t1 + s1 + t3 + s3, 2.0 * (t2 - s2), t1 - s1 + 3.0 * (t3 - s3)
-
-
 def wp_pair(z: complex, theta: ThetaConstants):
     """(R(z), R'(z), flag) with R = wp - e1, on the lattice of `theta`.
 
@@ -115,8 +99,13 @@ def wp_pair(z: complex, theta: ThetaConstants):
     w1, w2i, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
     per_min = 2.0 * w1 if w1 <= w2i else 2.0 * w2i
     eps = 1e-12 * per_min
-    x = z.real - 2.0 * w1 * _round_half_to_zero(z.real / (2.0 * w1))
-    y = z.imag - 2.0 * w2i * _round_half_to_zero(z.imag / (2.0 * w2i))
+    # reduce to the cell, nearest multiple of each period with halves toward zero
+    f = z.real / (2.0 * w1)
+    m = math.ceil(abs(f) - 0.5)
+    x = z.real - 2.0 * w1 * (m if f >= 0.0 else -m)
+    f = z.imag / (2.0 * w2i)
+    m = math.ceil(abs(f) - 0.5)
+    y = z.imag - 2.0 * w2i * (m if f >= 0.0 else -m)
     if math.hypot(x, y) <= eps:
         return 0j, 0j, POLE
     gx = w1 - abs(x)   # gap to the vertical cell edge
@@ -143,19 +132,38 @@ def wp_pair(z: complex, theta: ThetaConstants):
     a = complex(qe * c, -qe * sn)
     b2 = b * b
     a2 = a * a
-    powers = (b, b2, b2 * b, a, a2, a2 * a)
+    b3 = b2 * b
+    a3 = a2 * a
 
-    even, odd, deven, dodd = _even_odd(t_coeffs, *powers)
+    # t(b): even and odd parts, then those of b d/db
+    c0, c1, c2, c3, d1, d2, d3 = t_coeffs
+    t1 = c1 * b
+    s1 = d1 * a
+    t2 = c2 * b2
+    s2 = d2 * a2
+    t3 = c3 * b3
+    s3 = d3 * a3
+    even = c0 + t2 + s2
+    odd = t1 + s1 + t3 + s3
+    deven = 2.0 * (t2 - s2)
+    dodd = t1 - s1 + 3.0 * (t3 - s3)
     tp = even + odd
     den = bm1 * tp                                  # theta1 without its prefactor
     dden = b * tp + bm1 * (deven + dodd)            # b d(den)/db
     if rotated:
-        # R = b theta4^2 / (sqrt(q) den^2)
-        even, odd, deven, dodd = _even_odd(n_coeffs, *powers)
-        u = (even + odd) / den
+        # R = b theta4^2 / (sqrt(q) den^2), theta4(v) = n(b)
+        c0, c1, c2, c3, d1, d2, d3 = n_coeffs
+        t1 = c1 * b
+        s1 = d1 * a
+        t2 = c2 * b2
+        s2 = d2 * a2
+        t3 = c3 * b3
+        s3 = d3 * a3
+        u = (c0 + t2 + s2 + (t1 + s1 + t3 + s3)) / den
         g = inv_sqrt_q * b * u
         r = g * u
-        dr = -k2 * g * (u + 2.0 * (deven + dodd - u * dden) / den)
+        dn = 2.0 * (t2 - s2) + (t1 - s1 + 3.0 * (t3 - s3))   # b d(n)/db
+        dr = -k2 * g * (u + 2.0 * (dn - u * dden) / den)
     else:
         # R = -(num / den)^2 with num = (b + 1) t(-b), theta2 without its prefactor
         tm = even - odd
@@ -164,9 +172,9 @@ def wp_pair(z: complex, theta: ThetaConstants):
         r = -u * u
         dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
 
-    if y == 0.0:       # real axis: R and R' real
+    if y == 0.0 or gy == 0.0:     # real axis, Im z = w2i: R and R' real
         r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
-    elif x == 0.0:     # imaginary axis: R real, R' imaginary
+    elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
         r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
     if (x < 0.0) != (y < 0.0):
         r, dr = r.conjugate(), dr.conjugate()

@@ -57,11 +57,6 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def _point(v: complex) -> str:
-    # y axis flipped so the upper half plane renders upward
-    return f"{_fmt(v.real)},{_fmt(-v.imag)}"
-
-
 def _polylines(values, clip: float) -> list[str]:
     """Split a sampled curve at poles/escapes into SVG polyline elements."""
     out = []
@@ -76,9 +71,15 @@ def _polylines(values, clip: float) -> list[str]:
         if is_pole(v) or abs(v) > clip:
             flush()
         else:
-            run.append(_point(v))
+            # y axis flipped so the upper half plane renders upward;
+            # + 0.0 turns -0.0 into 0
+            run.append("%.9g,%.9g" % (v.real + 0.0, -v.imag + 0.0))
     flush()
     return out
+
+
+def _conj(v):
+    return v if is_pole(v) else v.conjugate()
 
 
 def render_figure(config: FigureConfig | None = None) -> str:
@@ -96,25 +97,24 @@ def render_figure(config: FigureConfig | None = None) -> str:
     per_y = 2.0 * lat.omega2_im
     unit = (xmax - xmin) / _PX  # user units per pixel
 
-    red_groups = []
-    for k in range(L + 1):
-        c = k * per_y / L
-        vals = [
-            essential_R(complex(j * per_x / S, c), lat, params)
-            for j in range(S + 1)
+    def _family(point) -> list[str]:
+        # The <g data-line> groups of lines k = 0..L, sample j = 0..S of line k
+        # at point(k, j). R is even and R(conj z) = conj R(z), so line L - k
+        # and sample S - j are the conjugates of line k and sample j: only
+        # k <= L//2 and j <= S//2 are evaluated.
+        lines = []
+        for k in range(L // 2 + 1):
+            half = [essential_R(point(k, j), lat, params) for j in range(S // 2 + 1)]
+            lines.append(half + [_conj(v) for v in reversed(half[: S - S // 2])])
+        lines += [[_conj(v) for v in vals] for vals in reversed(lines[: L - L // 2])]
+        return [
+            f'<g data-line="{k}">{"".join(_polylines(vals, clip))}</g>'
+            for k, vals in enumerate(lines)
         ]
-        body = "".join(_polylines(vals, clip))
-        red_groups.append(f'<g data-line="{k}">{body}</g>')
 
-    blue_groups = []
-    for k in range(L + 1):
-        a = k * per_x / L
-        vals = [
-            essential_R(complex(a, j * per_y / S), lat, params)
-            for j in range(S + 1)
-        ]
-        body = "".join(_polylines(vals, clip))
-        blue_groups.append(f'<g data-line="{k}">{body}</g>')
+    # k / L * per puts the middle line and sample exactly on the cell edge
+    red_groups = _family(lambda k, j: complex(j / S * per_x, k / L * per_y))
+    blue_groups = _family(lambda k, j: complex(k / L * per_x, j / S * per_y))
 
     parts = []
     parts.append(

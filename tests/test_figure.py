@@ -3,7 +3,16 @@ import re
 
 import pytest
 
-from octell import FigureConfig, build_catalog, derive_params, render_figure
+import octell.figure
+from octell import (
+    FigureConfig,
+    build_catalog,
+    compute_lattice,
+    derive_params,
+    essential_R,
+    is_pole,
+    render_figure,
+)
 
 SMALL = dict(lines_per_axis=4, samples_per_line=32)  # keep most tests quick
 
@@ -83,8 +92,6 @@ def test_real_axis_line_stays_real():
 def test_center_value_is_sampled_exactly():
     # line k = L/4 at sample S/4 lands on (omega1 + omega2)/2, whose image is
     # a circle-intersection point
-    from octell import compute_lattice, essential_R
-
     cfg = FigureConfig()
     params = derive_params(cfg.beta)
     lat = compute_lattice(params)
@@ -107,3 +114,118 @@ def test_clip_drops_far_points():
     # tighter clipping cannot produce more sampled points
     assert loose.count(",") >= tight.count(",")
     assert loose != tight
+
+
+_GROUP_RE = re.compile(r'<g data-line="(\d+)">(.*?)</g>')
+
+
+def _families(svg):
+    """{family: [group body per line]} for the red and blue line groups."""
+    out = {}
+    for fam in ("red", "blue"):
+        block = re.search(r'<g id="%s-lines"[^>]*>\n(.*?)\n</g>\n' % fam, svg, re.S).group(1)
+        out[fam] = [body for _, body in _GROUP_RE.findall(block)]
+    return out
+
+
+def _runs(body):
+    return [run.split() for run in re.findall(r'points="([^"]*)"', body)]
+
+
+def _flip(pt):
+    # the printed point of the conjugate value: "x,y" -> "x,-y", 0 stays 0
+    x, y = pt.split(",")
+    return f"{x},{y[1:] if y.startswith('-') else '0' if y == '0' else '-' + y}"
+
+
+@pytest.fixture(scope="module")
+def default_families():
+    return _families(render_figure(FigureConfig()))
+
+
+@pytest.mark.parametrize("fam", ["red", "blue"])
+def test_mirror_lines_print_as_conjugates(default_families, fam):
+    # R(conj z) = conj R(z) and R is even: line L - k prints line k with the
+    # imaginary signs flipped, and each line is its own mirror read backwards
+    lines = default_families[fam]
+    L = len(lines) - 1
+    assert L == FigureConfig().lines_per_axis
+    for k, body in enumerate(lines):
+        flipped = [[_flip(p) for p in run] for run in _runs(body)]
+        assert _runs(lines[L - k]) == flipped, k
+        assert [run[::-1] for run in _runs(body)[::-1]] == flipped, k
+
+
+# the default, then L and S not powers of two, where k * per / L misses the
+# cell edge at k = L/2 for the blue (beta = 1.5) or the red (1.2) middle line
+@pytest.mark.parametrize("beta,L,S", [(None, 16, 512), (1.5, 6, 20), (1.2, 10, 20)])
+@pytest.mark.parametrize("fam", ["red", "blue"])
+def test_middle_line_is_real(default_families, fam, beta, L, S):
+    # the middle lines lie on the cell edges Im z = omega2 (red) and
+    # Re z = omega1 (blue), where R is exactly real
+    if beta is None:
+        lines = default_families[fam]
+    else:
+        cfg = FigureConfig(beta=beta, lines_per_axis=L, samples_per_line=S)
+        lines = _families(render_figure(cfg))[fam]
+    runs = _runs(lines[L // 2])
+    assert runs
+    for run in runs:
+        for pt in run:
+            assert pt.endswith(",0"), pt
+
+
+def _brute_lines(cfg):
+    """R at every sample of every red, then every blue, line: one call each."""
+    p = derive_params(cfg.beta)
+    lat = compute_lattice(p)
+    L, S = cfg.lines_per_axis, cfg.samples_per_line
+    px, py = 2.0 * lat.omega1, 2.0 * lat.omega2_im
+    red = [[essential_R(complex(j / S * px, k / L * py), lat, p) for j in range(S + 1)]
+           for k in range(L + 1)]
+    blue = [[essential_R(complex(k / L * px, j / S * py), lat, p) for j in range(S + 1)]
+            for k in range(L + 1)]
+    return red + blue
+
+
+def _run_lengths(vals, clip):
+    """Point counts of the polylines of one line: split at poles and beyond
+    the clip radius, runs of fewer than two points dropped."""
+    runs, n = [], 0
+    for v in list(vals) + [None]:
+        if v is None or is_pole(v) or abs(v) > clip:
+            if n >= 2:
+                runs.append(n)
+            n = 0
+        else:
+            n += 1
+    return runs
+
+
+@pytest.mark.parametrize("beta", [1.2, 3.0])   # omega1 < omega2_im, then >
+@pytest.mark.parametrize("L,S", [(5, 33), (4, 32), (6, 20)])
+def test_mirrored_render_matches_brute_force(monkeypatch, beta, L, S):
+    cfg = FigureConfig(beta=beta, lines_per_axis=L, samples_per_line=S)
+    seen = []
+    polylines = octell.figure._polylines
+
+    def record(values, clip):
+        seen.append(list(values))
+        return polylines(values, clip)
+
+    monkeypatch.setattr(octell.figure, "_polylines", record)
+    svg = render_figure(cfg)
+    want = _brute_lines(cfg)
+    assert len(seen) == len(want) == 2 * (L + 1)
+    for i, (got, ref) in enumerate(zip(seen, want)):
+        assert len(got) == S + 1
+        for j, (g, r) in enumerate(zip(got, ref)):
+            assert is_pole(g) == is_pole(r)
+            if i % (L + 1) <= L // 2 and j <= S // 2:   # evaluated, not mirrored
+                assert g is r or g == r
+            elif not is_pole(r):
+                assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (g, r)
+    fams = _families(svg)
+    clip = cfg.resolved_clip()
+    for body, ref in zip(fams["red"] + fams["blue"], want):
+        assert [len(run) for run in _runs(body)] == _run_lengths(ref, clip)
