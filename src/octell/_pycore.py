@@ -172,14 +172,15 @@ def wp_pair(z: complex, theta: ThetaConstants):
         r = -u * u
         dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
 
-    if y == 0.0 or gy == 0.0:     # real axis, Im z = w2i: R and R' real
-        r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
-    elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
-        r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
     if (x < 0.0) != (y < 0.0):
         r, dr = r.conjugate(), dr.conjugate()
     if x < 0.0:
         dr = -dr
+    # zeroed after the sign restore, so that a zero part is +0.0
+    if y == 0.0 or gy == 0.0:     # real axis, Im z = w2i: R and R' real
+        r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
+    elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
+        r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
     return r, dr, OK
 
 

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or domain error (bad beta, malformed complex literal, pole input).
+2 usage or domain error (bad beta, malformed complex literal, pole input,
+an --out file that cannot be written).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .figure import GOLDEN_BETA, FigureConfig, render_figure
 from .lattice import compute_lattice
 from .params import derive_params
 from .radicals import grid_table
-from .verify import sweep, verify_grid
+from .verify import _nv_json, sweep, verify_grid
 
 # decimal literals only: "1.5", "-2", "0.5+1.25i", "3-0.5i", "2i", "-i", "i"
 _COMPLEX_RE = re.compile(
@@ -67,12 +68,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", out)
-
-
-def _cv_json(v):
-    if is_pole(v):
-        return "pole"
-    return {"re": v.real, "im": v.imag}
 
 
 def _cmd_params(args) -> int:
@@ -139,7 +134,7 @@ def _cmd_eval(args) -> int:
         "beta": params.beta,
         "z": {"re": z.real, "im": z.imag},
         "what": args.what,
-        "value": _cv_json(value),
+        "value": _nv_json(value),
     }
     _emit_json(obj, args.out)
     return 0
@@ -261,7 +256,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"octell: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,9 @@ double root of their inner radicand.
 """
 from __future__ import annotations
 
+import functools
 import math
+import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -86,8 +88,8 @@ def branch_radicand(beta: float) -> float:
     return beta / math.sqrt(beta - 1.0) - 1.0 / math.sqrt(beta + 1.0) - _SQRT2
 
 
-def _gamma4_shared(beta: float) -> dict:
-    """Radicals shared by the four gamma4 formulas, computed once."""
+def _gamma4_all(beta: float) -> tuple[complex, complex, complex, complex]:
+    """(gamma41, gamma42, gamma43, gamma44) from their shared radicals."""
     sb1 = math.sqrt(beta + 1.0)
     core = beta / math.sqrt(beta - 1.0)
     inv_sb1 = 1.0 / sb1
@@ -98,46 +100,33 @@ def _gamma4_shared(beta: float) -> dict:
                 f"gamma4 radicand unexpectedly negative ({f_neg}) at beta={beta}"
             )
         f_neg = 0.0
-    return {
-        "x": 1.0 - 1.0 / beta,
-        "y": math.sqrt(1.0 - 1.0 / (beta * beta)),
-        "half": math.sqrt((beta + 1.0) / 2.0),
-        "q_pos": sb1 * math.sqrt(sb1 + _SQRT2) / beta,
-        "q_neg": sb1 * math.sqrt(sb1 - _SQRT2) / beta,
-        "a_pos": math.sqrt(core - inv_sb1 + _SQRT2),
-        "b_pos": math.sqrt(core + inv_sb1 - _SQRT2),
-        "a_neg": math.sqrt(f_neg),
-        "b_neg": math.sqrt(core + inv_sb1 + _SQRT2),
-        "sgn": 1.0 if beta >= _B else -1.0,
-    }
-
-
-def _gamma4_from(s: dict, which: int) -> complex:
-    """One order-8 closed form from the radicals of `_gamma4_shared`."""
-    x, y = s["x"], s["y"]
-    if which == 41:
-        return (1.0 - s["half"]) * complex(
-            x + s["q_pos"] * s["a_pos"], -y - s["q_pos"] * s["b_pos"]
-        ) - 1.0
-    if which == 42:
-        return (1.0 - s["half"]) * complex(
-            x - s["q_pos"] * s["a_pos"], y - s["q_pos"] * s["b_pos"]
-        ) - 1.0
-    if which == 43:
-        return (s["half"] + 1.0) * complex(
-            x - s["q_neg"] * s["sgn"] * s["a_neg"], -y + s["q_neg"] * s["b_neg"]
-        ) - 1.0
-    if which == 44:
-        return (s["half"] + 1.0) * complex(
-            x + s["q_neg"] * s["sgn"] * s["a_neg"], y + s["q_neg"] * s["b_neg"]
-        ) - 1.0
-    raise ValueError(f"which must be one of 41, 42, 43, 44 (got {which!r})")
+    x = 1.0 - 1.0 / beta
+    y = math.sqrt(1.0 - 1.0 / (beta * beta))
+    half = math.sqrt((beta + 1.0) / 2.0)
+    q_pos = sb1 * math.sqrt(sb1 + _SQRT2) / beta
+    q_neg = sb1 * math.sqrt(sb1 - _SQRT2) / beta
+    a_pos = math.sqrt(core - inv_sb1 + _SQRT2)
+    b_pos = math.sqrt(core + inv_sb1 - _SQRT2)
+    a_neg = (1.0 if beta >= _B else -1.0) * math.sqrt(f_neg)
+    b_neg = math.sqrt(core + inv_sb1 + _SQRT2)
+    return (
+        (1.0 - half) * complex(x + q_pos * a_pos, -y - q_pos * b_pos) - 1.0,
+        (1.0 - half) * complex(x - q_pos * a_pos, y - q_pos * b_pos) - 1.0,
+        (half + 1.0) * complex(x - q_neg * a_neg, -y + q_neg * b_neg) - 1.0,
+        (half + 1.0) * complex(x + q_neg * a_neg, y + q_neg * b_neg) - 1.0,
+    )
 
 
 def gamma4(params: CurveParams, which: int) -> complex:
     """One of the four order-8 closed forms (which in {41, 42, 43, 44})."""
+    try:
+        i = (41, 42, 43, 44).index(which)
+    except ValueError:
+        raise ValueError(
+            f"which must be one of 41, 42, 43, 44 (got {which!r})"
+        ) from None
     _warn_floor(params.beta)
-    return _gamma4_from(_gamma4_shared(params.beta), which)
+    return _gamma4_all(params.beta)[i]
 
 
 def build_catalog(params: CurveParams) -> RadicalCatalog:
@@ -151,7 +140,7 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     delta_pm = (1.0 - dpm_off, 1.0 + dpm_off)
     g0_im = math.sqrt(beta - 1.0)
     tilt = complex(1.0, math.sqrt(delta - 1.0))  # 1 + i*sqrt(delta-1)
-    g4 = _gamma4_shared(beta)
+    g41, g42, g43, g44 = _gamma4_all(beta)
     return RadicalCatalog(
         gamma_minus_r=1.0 - 1.0 / delta,
         gamma_plus_r=1.0 + 1.0 / delta,
@@ -167,38 +156,29 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
         gamma0=complex(1.0, -g0_im),
         gamma_lo=1.0 - delta_pm[0] * tilt / delta,
         gamma_hi=1.0 - delta_pm[1] * tilt / delta,
-        gamma41=_gamma4_from(g4, 41),
-        gamma42=_gamma4_from(g4, 42),
-        gamma43=_gamma4_from(g4, 43),
-        gamma44=_gamma4_from(g4, 44),
+        gamma41=g41,
+        gamma42=g42,
+        gamma43=g43,
+        gamma44=g44,
         b_const=_B,
     )
 
 
-# conjugation map for the complex-valued entry symbols; real symbols map to
-# themselves
-_CONJ_SYMBOL = {}
-for _name in (
-    "gamma_hi", "gamma_lo", "gamma0", "gamma41", "gamma42", "gamma43", "gamma44",
-):
-    _CONJ_SYMBOL[_name] = f"conj({_name})"
-for _sym, _csym in [
-    ("-beta*gamma_hi", "-beta*conj(gamma_hi)"),
-    ("-beta*gamma_lo", "-beta*conj(gamma_lo)"),
-    ("-gamma/beta", "-conj(gamma)/beta"),
-    ("-beta_plus*gamma0", "-beta_plus*conj(gamma0)"),
-    ("-beta_minus*gamma0", "-beta_minus*conj(gamma0)"),
-    ("gamma41", "conj(gamma41)"),
-    ("gamma42", "conj(gamma42)"),
-    ("gamma43", "conj(gamma43)"),
-    ("gamma44", "conj(gamma44)"),
-]:
-    _CONJ_SYMBOL[_sym] = _csym
-    _CONJ_SYMBOL[_csym] = _sym
+# a complex catalog name X, as conj(X) or bare; every other name is real
+_NAME = r"gamma(?:0|_lo|_hi|4[1-4])?"
+_COMPLEX_NAME = re.compile(rf"conj\(({_NAME})\)|\b({_NAME})\b")
 
 
+@functools.cache
 def _conj_symbol(sym: str) -> str:
-    return _CONJ_SYMBOL.get(sym, sym)
+    """The symbol of the conjugate value: conj(X) <-> X for complex names X."""
+    return _COMPLEX_NAME.sub(lambda mo: mo.group(1) or f"conj({mo.group(2)})", sym)
+
+
+def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
+    """The (value, symbol) entry of a mirrored node, which holds the conjugate."""
+    v, sym = entry
+    return (v if v is POLE else v.conjugate() + 0.0), _conj_symbol(sym)
 
 
 @dataclass(frozen=True)
@@ -228,6 +208,8 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
     b0, b1, b2, b3 = c.beta_seq
     bm, bp = c.beta_pm
     g0c = c.gamma0.conjugate()
+    # the quarter block m, n <= 4; R is even and R(conj z) = conj R(z), so
+    # nodes (8 - m, n) and (m, 8 - n) hold the conjugate of node (m, n)
     rows = [
         [
             (POLE, "inf"),
@@ -235,10 +217,6 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (complex(1.0), "1"),
             (complex(b0 * b1), "beta0*beta1"),
             (complex(0.0), "0"),
-            (complex(b0 * b1), "beta0*beta1"),
-            (complex(1.0), "1"),
-            (complex(b2 * b3), "beta2*beta3"),
-            (POLE, "inf"),
         ],
         [
             (complex(-beta * c.gamma23), "-beta*gamma23"),
@@ -246,10 +224,6 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (-beta * c.gamma_hi.conjugate(), "-beta*conj(gamma_hi)"),
             (c.gamma43.conjugate(), "conj(gamma43)"),
             (complex(-beta * c.gamma02), "-beta*gamma02"),
-            (c.gamma43, "gamma43"),
-            (-beta * c.gamma_hi, "-beta*gamma_hi"),
-            (c.gamma44, "gamma44"),
-            (complex(-beta * c.gamma23), "-beta*gamma23"),
         ],
         [
             (complex(-beta * c.gamma_plus_r), "-beta*gamma_plus_r"),
@@ -257,10 +231,6 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (-c.gamma.conjugate() / beta, "-conj(gamma)/beta"),
             (-bm * g0c, "-beta_minus*conj(gamma0)"),
             (complex(-beta * c.gamma_minus_r), "-beta*gamma_minus_r"),
-            (-bm * c.gamma0, "-beta_minus*gamma0"),
-            (-c.gamma / beta, "-gamma/beta"),
-            (-bp * c.gamma0, "-beta_plus*gamma0"),
-            (complex(-beta * c.gamma_plus_r), "-beta*gamma_plus_r"),
         ],
         [
             (complex(-beta * c.gamma01), "-beta*gamma01"),
@@ -268,10 +238,6 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (-beta * c.gamma_lo.conjugate(), "-beta*conj(gamma_lo)"),
             (c.gamma42.conjugate(), "conj(gamma42)"),
             (complex(-beta * c.gamma13), "-beta*gamma13"),
-            (c.gamma42, "gamma42"),
-            (-beta * c.gamma_lo, "-beta*gamma_lo"),
-            (c.gamma41, "gamma41"),
-            (complex(-beta * c.gamma01), "-beta*gamma01"),
         ],
         [
             (complex(-beta), "-beta"),
@@ -279,19 +245,11 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (complex(-1.0), "-1"),
             (complex(b1 * b3), "beta1*beta3"),
             (complex(-1.0 / beta), "-1/beta"),
-            (complex(b1 * b3), "beta1*beta3"),
-            (complex(-1.0), "-1"),
-            (complex(b0 * b2), "beta0*beta2"),
-            (complex(-beta), "-beta"),
         ],
     ]
-    for n in (5, 6, 7, 8):
-        rows.append(
-            [
-                (v if v is POLE else v.conjugate(), _conj_symbol(sym))
-                for (v, sym) in rows[8 - n]
-            ]
-        )
+    for row in rows:
+        row.extend(_mirror(e) for e in reversed(row[:4]))       # columns 5..8
+    rows.extend([_mirror(e) for e in row] for row in reversed(rows[:4]))  # rows 5..8
     values = tuple(tuple(v for v, _ in row) for row in rows)
     symbols = tuple(tuple(s for _, s in row) for row in rows)
     return ClosedFormTable(beta=beta, _values=values, _symbols=symbols)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -160,6 +161,25 @@ def test_out_flag_for_json(tmp_path):
     target = tmp_path / "p.json"
     assert run(["params", "--beta", "2", "--out", str(target)]) == 0
     assert json.loads(target.read_text())["beta"] == 2.0
+
+
+def test_unwritable_out_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "p.json"
+    assert run(["params", "--beta", "2", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("octell: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta", ["1.2", "3"])
+@pytest.mark.parametrize(
+    "argv", [["grid"], ["grid", "--format", "csv"], ["verify"]]
+)
+def test_no_negative_zero_printed(capsys, argv, beta):
+    run(argv + ["--beta", beta])
+    out = capsys.readouterr().out
+    assert out.count("\n") > 80
+    assert re.search(r"-0\.0(?!\d)", out) is None
 
 
 def test_usage_errors(capsys):

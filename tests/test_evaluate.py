@@ -82,16 +82,19 @@ def test_schwarz_reflection_is_exact(p3, lat3):
 def test_axes_exactly_real(beta):
     # R is real on both axes and on the cell edges Re z = +-omega1 and
     # Im z = +-omega2; R' is real on the horizontal lines (Im z = 0, +-omega2)
-    # and imaginary on the vertical ones (Re z = 0, +-omega1)
+    # and imaginary on the vertical ones (Re z = 0, +-omega1); the zero
+    # imaginary part of R is +0.0
     p = derive_params(beta)
     lat = compute_lattice(p)
     w1, w2i = lat.omega1, lat.omega2_im
     for t in (0.13, 0.5, 0.87, -0.61):
         for horizontal in (complex(t * w1, 0.0), complex(t * w1, w2i), complex(t * w1, -w2i)):
-            assert essential_R(horizontal, lat, p).imag == 0.0
+            r = essential_R(horizontal, lat, p)
+            assert r.imag == 0.0 and math.copysign(1.0, r.imag) == 1.0
             assert wp_prime(horizontal, lat, p).imag == 0.0
         for vertical in (complex(0.0, t * w2i), complex(w1, t * w2i), complex(-w1, t * w2i)):
-            assert essential_R(vertical, lat, p).imag == 0.0
+            r = essential_R(vertical, lat, p)
+            assert r.imag == 0.0 and math.copysign(1.0, r.imag) == 1.0
             assert wp_prime(vertical, lat, p).real == 0.0
 
 

@@ -16,6 +16,7 @@ from octell import (
     is_pole,
     tribonacci_b,
 )
+from octell.radicals import _conj_symbol
 
 betas = st.floats(min_value=1.001, max_value=50.0)
 
@@ -218,16 +219,48 @@ def test_table_fixed_entries(p3):
     assert t.value(4, 4) == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
 
-def test_table_conjugate_rows(p3):
-    t = grid_table(p3)
+def _assert_mirrored(t):
+    # nodes (8 - m, n) and (m, 8 - n) hold the conjugate of node (m, n), and
+    # their symbols the conj-symbol of its symbol
     for n in range(9):
         for m in range(9):
             a = t.value(m, n)
-            b = t.value(m, 8 - n)
-            if is_pole(a):
-                assert is_pole(b)
-            else:
-                assert a == b.conjugate()
+            for mm, nn in ((8 - m, n), (m, 8 - n)):
+                b = t.value(mm, nn)
+                if is_pole(a):
+                    assert is_pole(b)
+                else:
+                    assert a == b.conjugate()
+                assert t.symbol(mm, nn) == _conj_symbol(t.symbol(m, n))
+
+
+def test_table_conjugate_rows(p3):
+    _assert_mirrored(grid_table(p3))
+
+
+@given(betas)
+def test_table_conjugate_rows_any_beta(beta):
+    _assert_mirrored(grid_table(derive_params(beta)))
+
+
+def test_table_symbols_rows_1_to_3(p3):
+    t = grid_table(p3)
+    assert [t.symbol(m, 1) for m in range(9)] == [
+        "-beta*gamma23", "conj(gamma44)", "-beta*conj(gamma_hi)",
+        "conj(gamma43)", "-beta*gamma02", "gamma43", "-beta*gamma_hi",
+        "gamma44", "-beta*gamma23",
+    ]
+    assert [t.symbol(m, 2) for m in range(9)] == [
+        "-beta*gamma_plus_r", "-beta_plus*conj(gamma0)", "-conj(gamma)/beta",
+        "-beta_minus*conj(gamma0)", "-beta*gamma_minus_r",
+        "-beta_minus*gamma0", "-gamma/beta", "-beta_plus*gamma0",
+        "-beta*gamma_plus_r",
+    ]
+    assert [t.symbol(m, 3) for m in range(9)] == [
+        "-beta*gamma01", "conj(gamma41)", "-beta*conj(gamma_lo)",
+        "conj(gamma42)", "-beta*gamma13", "gamma42", "-beta*gamma_lo",
+        "gamma41", "-beta*gamma01",
+    ]
 
 
 def test_table_symbols_conjugate_rows(p3):
