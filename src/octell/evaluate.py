@@ -34,6 +34,34 @@ def is_pole(value: NodeValue) -> bool:
     return value is POLE
 
 
+def shift_omega1(v: NodeValue) -> NodeValue:
+    """R(z + omega1) from v = R(z): 1/R(z) (DLMF §23.6(i)), POLE <-> 0 exactly.
+
+    Maps Re z = omega1/2 onto the unit circle (inversion in |R| = 1).
+    """
+    if v is POLE:
+        return 0j
+    if v == 0:
+        return POLE
+    return 1.0 / v
+
+
+def shift_omega2(v: NodeValue, par: CurveParams) -> NodeValue:
+    """R(z + omega2) from v = R(z), POLE <-> -beta exactly.
+
+    -beta + beta*d/(v + beta) is computed as -beta*p/(p + d), p = v + 1/beta,
+    which subtracts no nearly equal numbers at large beta (beta - d = 1/beta).
+    Maps Im z = omega2/2 onto the red circle |R + beta| = beta/delta.
+    """
+    if v is POLE:
+        return complex(-par.beta)
+    p = v + 1.0 / par.beta
+    den = p + par.d
+    if v == -par.beta or den == 0:
+        return POLE
+    return -par.beta * p / den
+
+
 def _check_z(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -1,6 +1,14 @@
 """SVG rendering of the conformal grid image: the images under R of the
 horizontal and vertical period-cell lines, plus the two mirror circles.
 
+Each family is evaluated on one sixteenth of the cell, 0 <= Re z <= omega1/2
+and 0 <= Im z <= omega2/2 (1,290 of 17,442 samples at the default 16 x 512).
+The two half-period translations, R(z + omega1) = 1/R(z) and the omega2 map
+onto the red circle, each composed with conjugation, fill the rest of the
+quarter cell; conjugation mirrors the quarter onto the whole cell. Each
+quarter sample is printed once, and its mirror images reuse the text with
+the sign of y flipped.
+
 Output is deterministic text (stable float formatting, no timestamps), so
 renders can be compared byte-for-byte in tests.
 """
@@ -9,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .evaluate import essential_R, is_pole
+from .evaluate import POLE, essential_R, shift_omega1, shift_omega2
 from .lattice import compute_lattice
 from .params import derive_params
 
@@ -45,6 +53,8 @@ class FigureConfig:
         if self.samples_per_line < 16:
             raise ValueError("samples_per_line must be >= 16")
         xmin, xmax, ymin, ymax = self.resolved_viewport()
+        if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
+            raise ValueError("viewport components must be finite")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("viewport must satisfy xmin < xmax and ymin < ymax")
         if not self.resolved_clip() > 0.0:
@@ -57,29 +67,68 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def _polylines(values, clip: float) -> list[str]:
-    """Split a sampled curve at poles/escapes into SVG polyline elements."""
+def _conj(v):
+    return v if v is POLE else v.conjugate()
+
+
+def _quarter(point, L: int, S: int, fill_sample, fill_line, lat, params) -> list[list]:
+    """R at samples j <= S//2 of lines k <= L//2 of one family, line by line.
+
+    Only the sub-block k <= L/4, j <= S/4 calls `essential_R` at point(k, j).
+    Along a step of omega1 the point S/2 - j is omega1 - conj(point j), along
+    omega2 it is omega2 + conj(point j); R is even and R(conj z) = conj R(z),
+    so sample j > S/4 is fill_sample(conj(sample S/2 - j)) and line k > L/4 is
+    fill_line(conj(line L/2 - k)), fill_* being the `evaluate.shift_omega*`
+    of that step. An odd S or L leaves no integer partner, and then every
+    sample or line of the quarter is evaluated.
+    """
+    j_eval = S // 4 if S % 2 == 0 else S // 2
+    k_eval = L // 4 if L % 2 == 0 else L // 2
+    lines = []
+    for k in range(L // 2 + 1):
+        if k > k_eval:
+            lines.append([fill_line(_conj(v)) for v in lines[L // 2 - k]])
+            continue
+        vals = [essential_R(point(k, j), lat, params) for j in range(j_eval + 1)]
+        vals += [fill_sample(_conj(vals[S // 2 - j])) for j in range(j_eval + 1, S // 2 + 1)]
+        lines.append(vals)
+    return lines
+
+
+def _printed(vals, clip: float):
+    """The printed points of vals and of their conjugates; None where a
+    value is a pole or beyond the clip radius.
+
+    %.9g of -x is "-" plus %.9g of x, 0 prints as 0 and |conj v| = |v|, so
+    the conjugate's text is the value's with the sign of y flipped.
+    """
+    pts, conj_pts = [], []
+    for v in vals:
+        if v is POLE or abs(v) > clip:
+            pts.append(None)
+            conj_pts.append(None)
+            continue
+        # y axis flipped so the upper half plane renders upward;
+        # + 0.0 turns -0.0 into 0
+        x = "%.9g," % (v.real + 0.0)
+        y = "%.9g" % (-v.imag + 0.0)
+        pts.append(x + y)
+        conj_pts.append(x + (y[1:] if y[0] == "-" else y if y == "0" else "-" + y))
+    return pts, conj_pts
+
+
+def _polylines(points) -> str:
+    """Split a line's printed points at poles/escapes into SVG polylines."""
     out = []
     run: list[str] = []
-
-    def flush():
+    for p in [*points, None]:
+        if p is not None:
+            run.append(p)
+            continue
         if len(run) >= 2:
             out.append('<polyline points="%s"/>' % " ".join(run))
-        run.clear()
-
-    for v in values:
-        if is_pole(v) or abs(v) > clip:
-            flush()
-        else:
-            # y axis flipped so the upper half plane renders upward;
-            # + 0.0 turns -0.0 into 0
-            run.append("%.9g,%.9g" % (v.real + 0.0, -v.imag + 0.0))
-    flush()
-    return out
-
-
-def _conj(v):
-    return v if is_pole(v) else v.conjugate()
+        run = []
+    return "".join(out)
 
 
 def render_figure(config: FigureConfig | None = None) -> str:
@@ -97,24 +146,34 @@ def render_figure(config: FigureConfig | None = None) -> str:
     per_y = 2.0 * lat.omega2_im
     unit = (xmax - xmin) / _PX  # user units per pixel
 
-    def _family(point) -> list[str]:
+    def shift2(v):
+        return shift_omega2(v, params)
+
+    def _family(point, fill_sample, fill_line) -> list[str]:
         # The <g data-line> groups of lines k = 0..L, sample j = 0..S of line k
         # at point(k, j). R is even and R(conj z) = conj R(z), so line L - k
-        # and sample S - j are the conjugates of line k and sample j: only
-        # k <= L//2 and j <= S//2 are evaluated.
-        lines = []
-        for k in range(L // 2 + 1):
-            half = [essential_R(point(k, j), lat, params) for j in range(S // 2 + 1)]
-            lines.append(half + [_conj(v) for v in reversed(half[: S - S // 2])])
-        lines += [[_conj(v) for v in vals] for vals in reversed(lines[: L - L // 2])]
-        return [
-            f'<g data-line="{k}">{"".join(_polylines(vals, clip))}</g>'
-            for k, vals in enumerate(lines)
-        ]
+        # and sample S - j are the conjugates of line k and sample j: the
+        # quarter k <= L//2, j <= S//2 is computed (by `_quarter`, from its
+        # first sixteenth of the cell) and printed once, and the rest reuse
+        # its text with y's sign flipped.
+        back = S - S // 2  # samples j > S//2 print the conjugate of S - j
+        front, mirror = [], []
+        for vals in _quarter(point, L, S, fill_sample, fill_line, lat, params):
+            pts, conj_pts = _printed(vals, clip)
+            front.append(pts + conj_pts[back - 1 :: -1])
+            mirror.append(conj_pts + pts[back - 1 :: -1])
+        lines = front + mirror[L - L // 2 - 1 :: -1]
+        return [f'<g data-line="{k}">{_polylines(pts)}</g>' for k, pts in enumerate(lines)]
 
-    # k / L * per puts the middle line and sample exactly on the cell edge
-    red_groups = _family(lambda k, j: complex(j / S * per_x, k / L * per_y))
-    blue_groups = _family(lambda k, j: complex(k / L * per_x, j / S * per_y))
+    # k / L * per puts the middle line and sample exactly on the cell edge;
+    # red samples run along omega1 and red lines step along omega2, blue
+    # the other way round
+    red_groups = _family(
+        lambda k, j: complex(j / S * per_x, k / L * per_y), shift_omega1, shift2
+    )
+    blue_groups = _family(
+        lambda k, j: complex(k / L * per_x, j / S * per_y), shift2, shift_omega1
+    )
 
     parts = []
     parts.append(

@@ -12,7 +12,8 @@ half-period seeds (0, -beta, -1/beta, pole) using only the bisection identity
     R(z/2) = R(z) + s1*sqrt(R(R+1/b)) + s2*sqrt((R+1/b)(R+b)) + s3*sqrt((R+b)R)
 
 with sign triples constrained to s1*s2*s3 = +1, and half-period translation
-identities R(z+omega1) = 1/R(z), R(z+omega2) = -beta + beta*d/(R(z)+beta).
+identities R(z+omega1) = 1/R(z), R(z+omega2) = -beta + beta*d/(R(z)+beta)
+(`evaluate.shift_omega1`, `evaluate.shift_omega2`).
 The fast evaluator only supplies a deliberately coarse probe (3 decimals) to
 pick among the four discrete branch candidates; it never contributes digits.
 """
@@ -23,7 +24,15 @@ import json
 import math
 from dataclasses import dataclass
 
-from .evaluate import POLE, NodeValue, essential_R, is_pole, log_deriv_sq
+from .evaluate import (
+    POLE,
+    NodeValue,
+    essential_R,
+    is_pole,
+    log_deriv_sq,
+    shift_omega1,
+    shift_omega2,
+)
 from .lattice import Lattice, compute_lattice
 from .params import CurveParams, derive_params
 from .radicals import ClosedFormTable, grid_table
@@ -178,26 +187,12 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     None marks a node whose branch selection was inconclusive.
     """
     beta = params.beta
-    d = params.d
 
-    def shift_m(v):  # R(z + omega1) = 1/R(z)
-        if v is None:
-            return None
-        if is_pole(v):
-            return 0j
-        if v == 0:
-            return POLE
-        return 1.0 / v
+    def shift_m(v):  # R(z + omega1)
+        return None if v is None else shift_omega1(v)
 
-    def shift_n(v):  # R(z + omega2) = -beta + beta*d/(R(z) + beta)
-        if v is None:
-            return None
-        if is_pole(v):
-            return complex(-beta)
-        den = v + beta
-        if den == 0:
-            return POLE
-        return -beta + beta * d / den
+    def shift_n(v):  # R(z + omega2)
+        return None if v is None else shift_omega2(v, params)
 
     def probe(m, n):
         r = essential_R(_node_z(lat, m, n), lat, params)
@@ -339,11 +334,10 @@ def verify_claims(
 def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
     """Circle inversion maps each family of mapped coordinate lines onto the
     symmetric member of the same family; spot-check pointwise."""
-    beta = params.beta
-    d = params.d
     w1, w2i = lat.omega1, lat.omega2_im
-    # inversion about the circle centered -beta, radius beta/delta, maps the
-    # red line at height k*w2i/8 onto the one at (8-k)*w2i/8
+    # inversion about the circle centered -beta, radius beta/delta (the omega2
+    # translation after conjugation) maps the red line at height k*w2i/8 onto
+    # the one at (8-k)*w2i/8
     ts = [(j + 0.3) * 2.0 * w1 / 17.0 for j in range(17)]
     red = {
         k: [essential_R(complex(t, k * w2i / 8.0), lat, params) for t in ts]
@@ -355,13 +349,13 @@ def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyRe
             INVERSION_TOL,
             "lines k=2,4,6 vs k=14,12,10 (same parameter), max rel err",
             (
-                (tgt, -beta + beta * d / (v + beta).conjugate())
+                (tgt, shift_omega2(v.conjugate(), params))
                 for k in (2, 4, 6)
                 for v, tgt in zip(red[k], red[8 - k])
             ),
         ),
-        # unit-circle inversion maps the blue line at a onto the one at a + w1,
-        # with the parameter reflected
+        # unit-circle inversion (the omega1 translation after conjugation) maps
+        # the blue line at a onto the one at a + w1, with the parameter reflected
         _worst_check(
             "blue_circle_inverts_blue_lines",
             INVERSION_TOL,
@@ -369,7 +363,7 @@ def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyRe
             (
                 (
                     essential_R(complex(a + w1, -s), lat, params),
-                    1.0 / essential_R(complex(a, s), lat, params).conjugate(),
+                    shift_omega1(essential_R(complex(a, s), lat, params).conjugate()),
                 )
                 for a in (k * w1 / 8.0 for k in (2, 4, 6))
                 for s in ((j + 0.3) * 2.0 * w2i / 17.0 for j in range(17))

@@ -157,6 +157,15 @@ def test_figure_bad_config(capsys):
     assert run(["figure", "--lines", "1"]) == 2
 
 
+def test_figure_non_finite_viewport(capsys):
+    code = run(["figure", "--viewport", "0", "inf", "-1", "1", "--lines", "2",
+                "--samples", "16"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("octell: error: viewport")
+
+
 def test_out_flag_for_json(tmp_path):
     target = tmp_path / "p.json"
     assert run(["params", "--beta", "2", "--out", str(target)]) == 0

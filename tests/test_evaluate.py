@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from octell import (
     POLE,
@@ -16,7 +17,14 @@ from octell import (
     wp_prime,
     wp_with_prime,
 )
+from octell.evaluate import shift_omega1, shift_omega2
 from conftest import SAMPLE_BETAS, node_z
+
+# beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
+betas = st.floats(min_value=-6.0, max_value=12.0).map(lambda x: 1.0 + 10.0 ** x)
+# kept 1% off the cell edges: near a zero or pole of R, the rounding of z + omega
+# alone moves R(z + omega) by more than the bound below
+fractions = st.floats(min_value=0.01, max_value=0.99)
 
 
 def cell_points(lat, count, seed):
@@ -131,6 +139,39 @@ def test_essential_shift(p3, lat3):
         assert essential_R(z, lat3, p3) == pytest.approx(
             wp(z, lat3, p3) - p3.alpha, rel=1e-14
         )
+
+
+# --- half-period translations -----------------------------------------------
+
+@given(betas, fractions, fractions)
+def test_translations_match_evaluator(beta, fx, fy):
+    # z in the lower half of the quarter cell, Im z <= omega2/2: R(z) lies on or
+    # outside the red circle |R + beta| = beta/delta, away from the omega2 map's
+    # pole at -beta, as the figure's sources do
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    z = complex(fx * lat.omega1, 0.5 * fy * lat.omega2_im)
+    v = essential_R(z, lat, p)
+    for got, z2 in ((shift_omega1(v), z + lat.omega1), (shift_omega2(v, p), z + lat.omega2)):
+        ref = essential_R(z2, lat, p)
+        assert is_pole(got) == is_pole(ref)
+        if not is_pole(ref):
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (got, ref)
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-6, 3.0, 1e12])
+def test_translations_at_half_periods(beta):
+    # the half-period values POLE, 0, -beta, -1/beta map onto each other;
+    # POLE <-> 0 and POLE <-> -beta exactly
+    p = derive_params(beta)
+    assert shift_omega1(POLE) == 0j
+    assert is_pole(shift_omega1(0j))
+    assert shift_omega2(POLE, p) == complex(-beta)
+    assert is_pole(shift_omega2(complex(-beta), p))
+    assert shift_omega2(complex(-1.0 / beta), p) == 0j
+    assert shift_omega1(complex(-beta)) == complex(-1.0 / beta)
+    assert shift_omega1(complex(-1.0 / beta)) == pytest.approx(-beta, rel=1e-15)
+    assert shift_omega2(0j, p) == pytest.approx(-1.0 / beta, rel=1e-15)
 
 
 # --- mpmath reference ------------------------------------------------------

@@ -36,6 +36,8 @@ def test_default_config():
         dict(viewport=(0.0, 1.0, 2.0, -2.0)),
         dict(clip_radius=0.0),
         dict(beta=1.0),
+        dict(viewport=(0.0, math.inf, -1.0, 1.0)),
+        dict(viewport=(-1.0, 1.0, -math.inf, 1.0)),
     ],
 )
 def test_config_validation(kw):
@@ -202,30 +204,63 @@ def _run_lengths(vals, clip):
     return runs
 
 
-@pytest.mark.parametrize("beta", [1.2, 3.0])   # omega1 < omega2_im, then >
-@pytest.mark.parametrize("L,S", [(5, 33), (4, 32), (6, 20)])
+def _evaluated(L, S):
+    """The last line and sample index of a quarter that call the kernel:
+    L/4 and S/4, or L//2 (S//2) when L (S) is odd."""
+    return (L // 4 if L % 2 == 0 else L // 2), (S // 4 if S % 2 == 0 else S // 2)
+
+
+# omega1 < omega2_im at 1.2, > at 3; 1 + 1e-6 and 1e12 are the ends of the domain
+@pytest.mark.parametrize("beta", [1.2, 3.0, 1.0 + 1e-6, 1e12])
+@pytest.mark.parametrize("L,S", [(5, 33), (4, 32), (6, 20), (16, 512)])
 def test_mirrored_render_matches_brute_force(monkeypatch, beta, L, S):
     cfg = FigureConfig(beta=beta, lines_per_axis=L, samples_per_line=S)
     seen = []
-    polylines = octell.figure._polylines
+    quarter = octell.figure._quarter
 
-    def record(values, clip):
-        seen.append(list(values))
-        return polylines(values, clip)
+    def record(*args):
+        seen.append(quarter(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(octell.figure, "_polylines", record)
+    monkeypatch.setattr(octell.figure, "_quarter", record)
     svg = render_figure(cfg)
     want = _brute_lines(cfg)
-    assert len(seen) == len(want) == 2 * (L + 1)
-    for i, (got, ref) in enumerate(zip(seen, want)):
-        assert len(got) == S + 1
-        for j, (g, r) in enumerate(zip(got, ref)):
-            assert is_pole(g) == is_pole(r)
-            if i % (L + 1) <= L // 2 and j <= S // 2:   # evaluated, not mirrored
-                assert g is r or g == r
-            elif not is_pole(r):
-                assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (g, r)
+    k_eval, j_eval = _evaluated(L, S)
+    assert len(seen) == 2
+    for fam, quarter_lines in enumerate(seen):
+        assert len(quarter_lines) == L // 2 + 1
+        for k, got in enumerate(quarter_lines):
+            ref = want[fam * (L + 1) + k]
+            assert len(got) == S // 2 + 1
+            for j, (g, r) in enumerate(zip(got, ref)):
+                assert is_pole(g) == is_pole(r)
+                if k <= k_eval and j <= j_eval:   # evaluated, not filled
+                    assert g is r or g == r
+                elif not is_pole(r):
+                    assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (k, j, g, r)
     fams = _families(svg)
     clip = cfg.resolved_clip()
     for body, ref in zip(fams["red"] + fams["blue"], want):
         assert [len(run) for run in _runs(body)] == _run_lengths(ref, clip)
+
+
+@pytest.mark.parametrize("L,S", [(16, 512), (5, 33), (5, 32), (4, 33), (6, 22)])
+def test_kernel_calls_per_render(monkeypatch, L, S):
+    # the default evaluates 5 x 129 samples per family (1,290 calls, of
+    # 17,442 samples); an odd L or S evaluates every line or sample of the
+    # quarter, as the conjugation mirror alone does
+    calls = []
+    kernel = octell.figure.essential_R
+
+    def count(z, lat, params):
+        calls.append(z)
+        return kernel(z, lat, params)
+
+    monkeypatch.setattr(octell.figure, "essential_R", count)
+    render_figure(FigureConfig(lines_per_axis=L, samples_per_line=S))
+    k_eval, j_eval = _evaluated(L, S)
+    assert len(calls) == 2 * (k_eval + 1) * (j_eval + 1)
+    if (L, S) == (16, 512):
+        assert len(calls) == 1290
+    if L % 2 and S % 2:
+        assert len(calls) == 2 * (L // 2 + 1) * (S // 2 + 1)
