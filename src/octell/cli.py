@@ -7,6 +7,7 @@ an --out file that cannot be written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -176,6 +177,7 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octell",

@@ -34,6 +34,11 @@ def is_pole(value: NodeValue) -> bool:
     return value is POLE
 
 
+def conj(v: NodeValue) -> NodeValue:
+    """R(conj z) from v = R(z): the conjugate with a zero part +0.0, POLE kept."""
+    return v if v is POLE else v.conjugate() + 0.0
+
+
 def shift_omega1(v: NodeValue) -> NodeValue:
     """R(z + omega1) from v = R(z): 1/R(z) (DLMF §23.6(i)), POLE <-> 0 exactly.
 

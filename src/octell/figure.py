@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .evaluate import POLE, essential_R, shift_omega1, shift_omega2
+from .evaluate import POLE, conj, essential_R, shift_omega1, shift_omega2
 from .lattice import compute_lattice
 from .params import derive_params
 
@@ -67,10 +67,6 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def _conj(v):
-    return v if v is POLE else v.conjugate()
-
-
 def _quarter(point, L: int, S: int, fill_sample, fill_line, lat, params) -> list[list]:
     """R at samples j <= S//2 of lines k <= L//2 of one family, line by line.
 
@@ -87,10 +83,10 @@ def _quarter(point, L: int, S: int, fill_sample, fill_line, lat, params) -> list
     lines = []
     for k in range(L // 2 + 1):
         if k > k_eval:
-            lines.append([fill_line(_conj(v)) for v in lines[L // 2 - k]])
+            lines.append([fill_line(conj(v)) for v in lines[L // 2 - k]])
             continue
         vals = [essential_R(point(k, j), lat, params) for j in range(j_eval + 1)]
-        vals += [fill_sample(_conj(vals[S // 2 - j])) for j in range(j_eval + 1, S // 2 + 1)]
+        vals += [fill_sample(conj(vals[S // 2 - j])) for j in range(j_eval + 1, S // 2 + 1)]
         lines.append(vals)
     return lines
 

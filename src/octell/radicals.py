@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .evaluate import POLE, NodeValue
+from .evaluate import POLE, NodeValue, conj
 from .params import BETA_FLOOR, CurveParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -178,7 +178,18 @@ def _conj_symbol(sym: str) -> str:
 def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
     """The (value, symbol) entry of a mirrored node, which holds the conjugate."""
     v, sym = entry
-    return (v if v is POLE else v.conjugate() + 0.0), _conj_symbol(sym)
+    return conj(v), _conj_symbol(sym)
+
+
+def mirror_block(block: list, mirror) -> list:
+    """The 9x9 grid from its 5x5 base block m, n <= 4 (either index order).
+
+    R is even and R(conj z) = conj R(z): with e the entry of node (m, n),
+    nodes (8 - m, n) and (m, 8 - n) get mirror(e), node (8 - m, 8 - n)
+    mirror(mirror(e)).
+    """
+    rows = [[*row, *(mirror(e) for e in reversed(row[:4]))] for row in block]
+    return rows + [[mirror(e) for e in row] for row in reversed(rows[:4])]
 
 
 @dataclass(frozen=True)
@@ -208,8 +219,7 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
     b0, b1, b2, b3 = c.beta_seq
     bm, bp = c.beta_pm
     g0c = c.gamma0.conjugate()
-    # the quarter block m, n <= 4; R is even and R(conj z) = conj R(z), so
-    # nodes (8 - m, n) and (m, 8 - n) hold the conjugate of node (m, n)
+    # the quarter block m, n <= 4, mirrored onto the rest by mirror_block
     rows = [
         [
             (POLE, "inf"),
@@ -247,9 +257,7 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (complex(-1.0 / beta), "-1/beta"),
         ],
     ]
-    for row in rows:
-        row.extend(_mirror(e) for e in reversed(row[:4]))       # columns 5..8
-    rows.extend([_mirror(e) for e in row] for row in reversed(rows[:4]))  # rows 5..8
+    rows = mirror_block(rows, _mirror)
     values = tuple(tuple(v for v, _ in row) for row in rows)
     symbols = tuple(tuple(s for _, s in row) for row in rows)
     return ClosedFormTable(beta=beta, _values=values, _symbols=symbols)

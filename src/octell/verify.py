@@ -6,16 +6,18 @@ reads it. Node (m, n) is z = (m*omega1 + n*omega2)/4, so row n runs along
 value of R with another takes the worst scaled error |a - b| / max(1, |a|)
 over its pairs against a limit.
 
-The half-argument oracle rebuilds every eighth-period value from the exact
-half-period seeds (0, -beta, -1/beta, pole) using only the bisection identity
+The half-argument oracle rebuilds the base block m, n <= 4 of the grid from
+the exact half-period seeds (0, -beta, -1/beta, pole) using only the
+bisection identity
 
     R(z/2) = R(z) + s1*sqrt(R(R+1/b)) + s2*sqrt((R+1/b)(R+b)) + s3*sqrt((R+b)R)
 
 with sign triples constrained to s1*s2*s3 = +1, and half-period translation
 identities R(z+omega1) = 1/R(z), R(z+omega2) = -beta + beta*d/(R(z)+beta)
-(`evaluate.shift_omega1`, `evaluate.shift_omega2`).
-The fast evaluator only supplies a deliberately coarse probe (3 decimals) to
-pick among the four discrete branch candidates; it never contributes digits.
+(`evaluate.shift_omega1`, `evaluate.shift_omega2`); the table's conjugate
+mirror fills the other 56 nodes. The paper's two mirror circles, |R| = 1 and
+|R + beta| = beta/delta, pick among the four branch candidates; the oracle
+never calls the evaluator.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from .evaluate import (
     POLE,
     NodeValue,
+    conj,
     essential_R,
     is_pole,
     log_deriv_sq,
@@ -35,7 +38,7 @@ from .evaluate import (
 )
 from .lattice import Lattice, compute_lattice
 from .params import CurveParams, derive_params
-from .radicals import ClosedFormTable, grid_table
+from .radicals import ClosedFormTable, grid_table, mirror_block
 
 TRIPLE_TOL = 1e-8     # pairwise source agreement
 AXES_TOL = 1e-9       # oracle vs closed forms on the grid axes
@@ -144,15 +147,18 @@ def _worst_check(
 
 _SIGN_TRIPLES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
-# The probe components are rounded to 1e-3, so the probe can sit up to
-# 5e-4 per component (~7.08e-4 in modulus) away from the value it labels.
-# Any candidate inside this radius is a legitimate match for the probe;
-# two distinct ones inside it means the probe cannot certify a winner.
-_PROBE_COMPAT = 7.5e-4
 
+def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
+    """R at base-block node (m, n) from v = R at node (2m, 2n), or None.
 
-def _halve_branch(v: complex, probe: complex, beta: float):
-    """Pick R(z/2) among the four sign-triple candidates using the probe.
+    The four sign-triple candidates are R at the four mirror images of the
+    node in the quarter cell, one in each sub-rectangle cut by the midlines,
+    so the paper's mirror circles tell them apart: |R| > 1 iff m < 2 (R maps
+    Re z = omega1/2 onto |R| = 1), |R + beta| > beta/delta iff n < 2 (Im z =
+    omega2/2 maps onto the red circle), and Im R < 0 inside the quarter cell.
+    A test is skipped when the node lies on its boundary. The candidate whose
+    worst signed margin, scaled by max(1, |c|), is largest wins; a winning
+    margin within 4 ulp(beta) gives None rather than a guess.
 
     The three radical terms must come from one consistent choice of the
     individual roots sqrt(R), sqrt(R+1/b), sqrt(R+b): then their product is
@@ -161,86 +167,62 @@ def _halve_branch(v: complex, probe: complex, beta: float):
     products instead breaks the constraint wherever that cubic leaves the
     positive real axis.
     """
+    beta = params.beta
+    radius = beta / params.delta
     q1 = cmath.sqrt(v)
     q2 = cmath.sqrt(v + 1.0 / beta)
     q3 = cmath.sqrt(v + beta)
     r1 = q1 * q2
     r2 = q2 * q3
     r3 = q3 * q1
+
+    def margin(c):
+        signed = []
+        if m != 2:
+            signed.append((abs(c) - 1.0) * (1 if m < 2 else -1))
+        if n != 2:
+            signed.append((abs(c + beta) - radius) * (1 if n < 2 else -1))
+        if 0 < m < 4 and 0 < n < 4:
+            signed.append(-c.imag)
+        return min(signed) / max(1.0, abs(c))
+
     cands = [v + s1 * r1 + s2 * r2 + s3 * r3 for (s1, s2, s3) in _SIGN_TRIPLES]
-    dists = [abs(c - probe) for c in cands]
-    best = min(range(4), key=dists.__getitem__)
-    scale = max(1.0, abs(probe))
-    for i in range(4):
-        if i == best or abs(cands[i] - cands[best]) <= 1e-8 * scale:
-            continue  # coincident branch (vanishing radicand): not ambiguous
-        if dists[i] <= _PROBE_COMPAT:
-            return None  # a second candidate is probe-compatible: ambiguous
-    if dists[best] > 0.05 * scale:
-        return None  # probe matches no candidate; do not guess
-    return cands[best]
+    best = max(cands, key=margin)
+    return best if margin(best) > 4.0 * math.ulp(beta) else None
+
+
+def _conj_or_none(v):
+    return None if v is None else conj(v)
 
 
 def half_argument_oracle(params: CurveParams, lat: Lattice):
-    """9x9 array (indexed [m][n]) of independently derived node values.
+    """9x9 array (indexed [m][n]) of node values derived without the evaluator.
 
-    None marks a node whose branch selection was inconclusive.
+    None marks a node whose branch selection was inconclusive. lat is unused:
+    the oracle needs only the curve.
     """
     beta = params.beta
+    B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4
 
-    def shift_m(v):  # R(z + omega1)
-        return None if v is None else shift_omega1(v)
-
-    def shift_n(v):  # R(z + omega2)
-        return None if v is None else shift_omega2(v, params)
-
-    def probe(m, n):
-        r = essential_R(_node_z(lat, m, n), lat, params)
-        return complex(round(r.real, 3), round(r.imag, 3))
-
-    def halve(src, m, n):
-        if src is None:
-            return None
-        return _halve_branch(src, probe(m, n), beta)
-
-    T = [[None] * 9 for _ in range(9)]
-    done = [[False] * 9 for _ in range(9)]
-
-    def put(m, n, v):
-        T[m][n] = v
-        done[m][n] = True
-
-    def translate(step):
-        # translate the base block m, n <= 4 onto the rest of the step-grid
-        for n in range(0, 5, step):
-            for m in range(4 + step, 9, step):
-                if not done[m][n]:
-                    put(m, n, shift_m(T[m - 4][n]))
-        for m in range(0, 9, step):
-            for n in range(4 + step, 9, step):
-                if not done[m][n]:
-                    put(m, n, shift_n(T[m][n - 4]))
+    def halve(grid, m, n):
+        src = grid[2 * m][2 * n]
+        B[m][n] = None if src is None else _halve_branch(src, m, n, params)
 
     # exact half-period seeds
-    for m, n in ((0, 0), (8, 0), (0, 8), (8, 8)):
-        put(m, n, POLE)
-    put(4, 0, 0j)
-    put(0, 4, complex(-beta))
-    put(4, 4, complex(-1.0 / beta))
-    # quarter-period nodes by one bisection
-    put(2, 0, halve(T[4][0], 2, 0))
-    put(0, 2, halve(T[0][4], 0, 2))
-    put(2, 2, halve(T[4][4], 2, 2))
-    put(4, 2, shift_m(T[0][2]))
-    put(2, 4, shift_n(T[2][0]))
-    translate(2)  # remaining even nodes
-    # eighth-period nodes in the base block by a second bisection
+    B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
+    # quarter-period nodes by one bisection; halving -beta for (4, 2) would
+    # cancel to about beta^2 * eps, so (4, 2) and (2, 4) are translations
+    for m, n in ((2, 0), (0, 2), (2, 2)):
+        halve(B, m, n)
+    B[4][2] = None if B[0][2] is None else shift_omega1(B[0][2])
+    B[2][4] = None if B[2][0] is None else shift_omega2(B[2][0], params)
+    # eighth-period nodes by a second bisection of the mirrored even nodes
+    even = mirror_block(B, _conj_or_none)
     for m in range(5):
         for n in range(5):
-            if not done[m][n]:
-                put(m, n, halve(T[2 * m][2 * n], m, n))
-    translate(1)  # the rest
-    return T
+            if m % 2 or n % 2:
+                halve(even, m, n)
+    return mirror_block(B, _conj_or_none)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from octell import backend, compute_lattice, derive_params, essential_R
-from octell.cli import parse_complex, run
+from octell.cli import _build_parser, parse_complex, run
 
 
 def run_json(capsys, argv):
@@ -200,3 +200,16 @@ def test_usage_errors(capsys):
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_parser_built_once_and_reused(capsys):
+    # one parser serves every run: a usage error in between leaves no state,
+    # so the same command prints the same bytes again
+    assert _build_parser() is _build_parser()
+    argv = ["verify", "--beta", "2.5"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["verify", "--beta", "2.5", "--tol", "x"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first

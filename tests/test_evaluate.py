@@ -17,7 +17,7 @@ from octell import (
     wp_prime,
     wp_with_prime,
 )
-from octell.evaluate import shift_omega1, shift_omega2
+from octell.evaluate import conj, shift_omega1, shift_omega2
 from conftest import SAMPLE_BETAS, node_z
 
 # beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
@@ -173,6 +173,19 @@ def test_translations_at_half_periods(beta):
     assert shift_omega1(complex(-1.0 / beta)) == pytest.approx(-beta, rel=1e-15)
     assert shift_omega2(0j, p) == pytest.approx(-1.0 / beta, rel=1e-15)
 
+
+
+def test_conj_keeps_pole_and_zero_signs(p3, lat3):
+    # the one conjugation the table, the oracle and the figure mirror with:
+    # POLE stays POLE, R(conj z) = conj R(z) bit for bit, no -0.0 part
+    assert is_pole(conj(POLE))
+    for z in cell_points(lat3, 5, seed=3):
+        assert conj(essential_R(z, lat3, p3)) == essential_R(z.conjugate(), lat3, p3)
+    for v in (complex(2.0, 0.0), complex(-0.0, -0.0), complex(-1.5, 0.0)):
+        c = conj(v)
+        assert c == v.conjugate()
+        assert math.copysign(1.0, c.real) == math.copysign(1.0, v.real + 0.0)
+        assert math.copysign(1.0, c.imag) == 1.0
 
 # --- mpmath reference ------------------------------------------------------
 

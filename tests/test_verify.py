@@ -1,11 +1,14 @@
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octell import (
     compute_lattice,
     derive_params,
+    essential_R,
     grid_table,
     half_argument_oracle,
     is_pole,
@@ -16,6 +19,7 @@ from octell import (
 import octell.verify
 from octell.radicals import ClosedFormTable
 from octell.verify import _halve_branch
+from conftest import node_z
 
 
 @pytest.mark.parametrize("beta", [1.2, 3.0, 10.0])
@@ -112,21 +116,92 @@ def test_oracle_seeds_are_exact(p3, lat3):
         assert is_pole(oracle[m][n])
 
 
-def test_halve_branch_selection():
-    # beta=3: halving the quarter-period value 1 reaches the eighth-period
-    # value beta2*beta3 = (1+sqrt(4/3))(1+2); a 3-decimal probe suffices
-    got = _halve_branch(1.0 + 0j, complex(6.464, 0.0), 3.0)
-    assert got is not None
-    assert got == pytest.approx(6.464101615137754, rel=1e-12)
-    # the all-minus-like triples give the other three eighth values
-    low = _halve_branch(1.0 + 0j, complex(-0.464, 0.0), 3.0)
-    assert low == pytest.approx(-0.46410161513775439, rel=1e-12)
+def test_halve_branch_selection(p3):
+    # beta=3: the four halves of the quarter-period value 1 (nodes (2, 0) and
+    # (2, 8)) are R at the four mirror images (1, 0), (3, 0), (1, 4), (3, 4):
+    # beta2*beta3 outside the unit circle and beta0*beta1 inside it on the
+    # real axis, and beta0*beta2, beta1*beta3 inside the red circle
+    want = {
+        (1, 0): 6.464101615137754,
+        (3, 0): 0.15470053837925146,
+        (1, 4): -2.1547005383792515,
+        (3, 4): -0.4641016151377544,
+    }
+    for (m, n), value in want.items():
+        assert _halve_branch(1.0 + 0j, m, n, p3) == pytest.approx(value, rel=1e-12)
 
 
-def test_halve_branch_refuses_bad_probe():
-    # a probe near none of the four candidates must not produce a value
-    got = _halve_branch(6.464101615137754 + 0j, complex(123.0, 45.0), 3.0)
-    assert got is None
+def test_halve_branch_refuses_node_on_its_boundary(p3):
+    # the halves of 0 are +-1, R at (2, 0) and (2, 4), on the unit circle:
+    # none lies strictly outside it as node (1, 0) requires, so the winning
+    # margin is within 4 ulp(beta) and the node is refused, not guessed
+    assert _halve_branch(0j, 1, 0, p3) is None
+    assert _halve_branch(0j, 2, 0, p3) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_oracle_never_calls_the_evaluator(monkeypatch, p3, lat3):
+    def forbidden(*args):
+        raise AssertionError("the oracle called essential_R")
+
+    monkeypatch.setattr(octell.verify, "essential_R", forbidden)
+    oracle = half_argument_oracle(p3, lat3)
+    assert all(v is not None for col in oracle for v in col)
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-6, 1.0001, 3.0, 1e6])
+def test_oracle_mirrors_exactly(beta):
+    params = derive_params(beta)
+    oracle = half_argument_oracle(params, compute_lattice(params))
+    for m in range(9):
+        for n in range(9):
+            v, mirrored = oracle[m][n], oracle[8 - m][n]
+            if is_pole(v):
+                assert is_pole(mirrored)
+            else:
+                assert mirrored == v.conjugate()
+                assert oracle[m][8 - n] == v.conjugate()
+                assert oracle[8 - m][8 - n] == v
+
+
+def test_table_swapped_across_unit_circle_fails(monkeypatch):
+    # nodes (1, 0) and (3, 0) hold beta2*beta3 and beta0*beta1, outside and
+    # inside |R| = 1; the oracle picks them by geometry, so a table with the
+    # two swapped fails the axes check
+    real_table = octell.verify.grid_table
+
+    def swapped(params):
+        t = real_table(params)
+        row = list(t._values[0])
+        row[1], row[3] = row[3], row[1]
+        return ClosedFormTable(t.beta, (tuple(row), *t._values[1:]), t._symbols)
+
+    monkeypatch.setattr(octell.verify, "grid_table", swapped)
+    rep = verify_grid(3.0)
+    assert rep.verdict == "fail"
+    axes = next(
+        p for p in rep.property_results if p.name == "oracle_matches_closed_on_axes"
+    )
+    assert not axes.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-6.0, max_value=12.0).map(lambda x: 1.0 + 10.0 ** x))
+def test_oracle_conclusive_nodes_match_evaluator(beta):
+    # beta - 1 log-uniform over the whole domain; the halving formula's
+    # rounding error grows like beta * eps
+    params = derive_params(beta)
+    lat = compute_lattice(params)
+    oracle = half_argument_oracle(params, lat)
+    limit = max(1e-12, 64.0 * sys.float_info.epsilon * beta)
+    for m in range(9):
+        for n in range(9):
+            got = oracle[m][n]
+            if got is None:
+                continue
+            want = essential_R(node_z(lat, m, n), lat, params)
+            assert is_pole(got) == is_pole(want), (m, n)
+            if not is_pole(want):
+                assert abs(got - want) / max(1.0, abs(want)) <= limit, (m, n)
 
 
 # --- one fixed row orientation, one setup per report ------------------------
@@ -165,46 +240,51 @@ def test_report_builds_each_input_once(monkeypatch):
 
 
 def test_verify_passes_near_beta_floor():
-    # 1.01 is close to the domain floor but the four half-argument
-    # candidates are still separated by far more than the probe's 1e-3
-    # quantization, so every node resolves.
+    # 1.01 is close to the domain floor; the four half-argument candidates
+    # still lie in four distinct regions cut by the two mirror circles, so
+    # every oracle node resolves.
     rep = verify_grid(1.01)
     assert rep.verdict == "pass"
 
 
-def test_tight_beta_goes_inconclusive_not_wrong():
-    # At beta = 1.0001 the crowded candidate pairs near -1 sit ~1.4e-4
-    # apart, below what the coarse probe can separate. The oracle must
-    # refuse those nodes, and every value it does produce must agree with
-    # the closed forms. Wrong-but-confident output is the one forbidden
-    # outcome.
+def test_tight_beta_resolves_every_node():
+    # At beta = 1.0001 the candidate pairs near -1 sit ~1.4e-4 apart, but the
+    # mirror circles still separate them by far more than rounding: all 81
+    # nodes are conclusive and agree with the closed forms.
     beta = 1.0001
     params = derive_params(beta)
     table = grid_table(params)
     oracle = half_argument_oracle(params, compute_lattice(params))
-    inconclusive = 0
     for m in range(9):
         for n in range(9):
-            got = oracle[m][n]
-            if got is None:
-                inconclusive += 1
-                continue
-            want = table.value(m, n)
+            got, want = oracle[m][n], table.value(m, n)
+            assert got is not None, (m, n)
             assert is_pole(got) == is_pole(want)
             if not is_pole(want):
                 assert abs(got - want) / max(1.0, abs(want)) <= 1e-8
-    assert inconclusive > 0
+    assert verify_grid(beta).verdict == "pass"
 
-    # verify_grid surfaces the refusals in the triple-source property and
-    # fails the verdict; the direct closed-vs-numeric checks still hold.
-    rep = verify_grid(beta)
+
+def test_inconclusive_oracle_node_fails_verdict(monkeypatch):
+    # an oracle node refused as inconclusive must fail the verdict through
+    # the triple-source property, never pass on luck; the direct
+    # closed-vs-numeric checks still hold
+    real_oracle = octell.verify.half_argument_oracle
+
+    def one_refused(params, lat):
+        T = real_oracle(params, lat)
+        T[1][1] = None
+        return T
+
+    monkeypatch.setattr(octell.verify, "half_argument_oracle", one_refused)
+    rep = verify_grid(3.0)
     assert rep.verdict == "fail"
     assert all(c.rel_err <= rep.tol for c in rep.per_node)
     triple = next(
         p for p in rep.property_results if p.name == "triple_source_agreement"
     )
     assert not triple.passed
-    assert "inconclusive" in triple.detail
+    assert "inconclusive oracle nodes [(1, 1)]" in triple.detail
     assert "pole/finite disagreement" not in triple.detail
 
 
