@@ -2,19 +2,11 @@
 
 There is one implementation, the pure-Python `_pycore`; `BACKEND` names it in
 reports. Looking the kernels up through this module gives profilers one place
-to wrap them.
+to wrap them. `wp_pair` returns R and R' themselves, POLE and the exact
+half-period values included, so no status code crosses this boundary.
 """
 from __future__ import annotations
 
-from ._pycore import (
-    HALF_BOTH,
-    HALF_IM,
-    HALF_RE,
-    OK,
-    agm,
-    lattice_sum,
-    wp_pair,
-)
-from ._pycore import POLE as POLE_FLAG
+from ._pycore import agm, lattice_sum, wp_pair
 
 BACKEND = "pure"

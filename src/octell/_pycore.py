@@ -27,18 +27,28 @@ full relative precision next to the pole. Every other point is folded onto
 the quarter cell, and the signs are restored by exact conjugation and
 negation, which keeps Schwarz reflection and parity bit-exact. On the axes
 and the cell edges, where R is real, its imaginary part is set to exactly 0.
+
+`wp_pair` returns the answer itself: (POLE, POLE) at lattice points and the
+exact root values R = 0, -beta, -1/beta (with R' = 0) at the half-periods
+omega1, omega2, omega1 + omega2, the paper's seeds for every eighth-lattice
+value.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 
-# kernel status flags
-OK = 0
-POLE = 1
-HALF_RE = 2   # congruent to omega1        -> wp = e1, wp' = 0
-HALF_IM = 3   # congruent to omega2        -> wp = e3, wp' = 0
-HALF_BOTH = 4  # congruent to omega1+omega2 -> wp = e2, wp' = 0
+
+class _Pole:
+    """Marker value for lattice points (the double pole)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "POLE"
+
+
+POLE = _Pole()
 
 
 def agm(a: float, b: float) -> float:
@@ -51,11 +61,13 @@ def agm(a: float, b: float) -> float:
 
 
 class ThetaConstants(
-    namedtuple("ThetaConstants", "w1 w2i rotated k2 q inv_sqrt_q t n")
+    namedtuple("ThetaConstants", "w1 w2i beta rotated k2 q inv_sqrt_q t n")
 ):
     """Per-lattice constants of `wp_pair`.
 
     - w1, w2i: the half-periods.
+    - beta: the curve parameter, for the exact values -beta and -1/beta at
+      omega2 and omega1 + omega2.
     - rotated: w1 > w2i, so the kernel works on the lattice rotated by i.
     - k2: pi / w for the shorter half-period w, so that b = exp(2iv).
     - q, inv_sqrt_q: the nome and 1/sqrt(q).
@@ -73,7 +85,7 @@ class ThetaConstants(
     __slots__ = ()
 
 
-def theta_constants(w1: float, w2i: float) -> ThetaConstants:
+def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
     """The constants `wp_pair` needs for the lattice (2*w1, 2i*w2i)."""
     rotated = w1 > w2i
     short, long_ = (w2i, w1) if rotated else (w1, w2i)
@@ -87,16 +99,18 @@ def theta_constants(w1: float, w2i: float) -> ThetaConstants:
     n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(
         (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
     )
-    return ThetaConstants(w1, w2i, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n)
+    return ThetaConstants(
+        w1, w2i, beta, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n
+    )
 
 
 def wp_pair(z: complex, theta: ThetaConstants):
-    """(R(z), R'(z), flag) with R = wp - e1, on the lattice of `theta`.
+    """(R(z), R'(z)) with R = wp - e1, on the lattice of `theta`.
 
-    flag: OK, POLE, or one of the HALF_* codes; values are only meaningful
-    for OK (the caller substitutes exact root values for HALF_*).
+    Both are POLE at lattice points; at the half-periods omega1, omega2 and
+    omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0.
     """
-    w1, w2i, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
     per_min = 2.0 * w1 if w1 <= w2i else 2.0 * w2i
     eps = 1e-12 * per_min
     # reduce to the cell, nearest multiple of each period with halves toward zero
@@ -107,15 +121,15 @@ def wp_pair(z: complex, theta: ThetaConstants):
     m = math.ceil(abs(f) - 0.5)
     y = z.imag - 2.0 * w2i * (m if f >= 0.0 else -m)
     if math.hypot(x, y) <= eps:
-        return 0j, 0j, POLE
+        return POLE, POLE
     gx = w1 - abs(x)   # gap to the vertical cell edge
     gy = w2i - abs(y)
     if math.hypot(gx, y) <= eps:
-        return 0j, 0j, HALF_RE
+        return 0j, 0j
     if math.hypot(x, gy) <= eps:
-        return 0j, 0j, HALF_IM
+        return complex(-beta), 0j
     if math.hypot(gx, gy) <= eps:
-        return 0j, 0j, HALF_BOTH
+        return complex(-1.0 / beta), 0j
 
     # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
     if rotated:
@@ -181,7 +195,7 @@ def wp_pair(z: complex, theta: ThetaConstants):
         r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
     elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
         r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
-    return r, dr, OK
+    return r, dr
 
 
 def lattice_sum(z: complex, w1: float, w2i: float, cutoff: int) -> complex:

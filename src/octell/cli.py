@@ -7,6 +7,7 @@ an --out file that cannot be written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -76,16 +77,7 @@ def _cmd_params(args) -> int:
     lat = compute_lattice(params)
     obj = {
         "schema": 1,
-        "beta": params.beta,
-        "alpha": params.alpha,
-        "d": params.d,
-        "delta": params.delta,
-        "e1": params.e1,
-        "e2": params.e2,
-        "e3": params.e3,
-        "g2": params.g2,
-        "g3": params.g3,
-        "discriminant_sqrt": params.discriminant_sqrt,
+        **dataclasses.asdict(params),
         "omega1": lat.omega1,
         "omega2_im": lat.omega2_im,
         "backend": BACKEND,
@@ -118,18 +110,15 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+# `eval --what` choices, in help order
+_EVAL = {"R": essential_R, "wp": wp, "wp_prime": wp_prime, "log_deriv_sq": log_deriv_sq}
+
+
 def _cmd_eval(args) -> int:
     params = derive_params(args.beta)
     lat = compute_lattice(params)
     z = parse_complex(args.z)
-    if args.what == "log_deriv_sq":
-        value = log_deriv_sq(z, lat, params)
-    elif args.what == "wp":
-        value = wp(z, lat, params)
-    elif args.what == "wp_prime":
-        value = wp_prime(z, lat, params)
-    else:
-        value = essential_R(z, lat, params)
+    value = _EVAL[args.what](z, lat, params)
     obj = {
         "schema": 1,
         "beta": params.beta,
@@ -211,11 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate at one point")
     add_beta(p)
     p.add_argument("--z", required=True, help="complex point, e.g. '0.7+0.3i'")
-    p.add_argument(
-        "--what",
-        choices=("R", "wp", "wp_prime", "log_deriv_sq"),
-        default="R",
-    )
+    p.add_argument("--what", choices=tuple(_EVAL), default="R")
     add_out(p)
     p.set_defaults(fn=_cmd_eval)
 

@@ -2,32 +2,23 @@
 
 R satisfies R'^2 = 4 R (R + beta) (R + 1/beta); its value at a lattice point
 is the distinguished POLE marker rather than an error. One kernel call per
-point (`_pycore.wp_pair`) reduces into the fundamental cell, snaps lattice
-points and half-periods, and otherwise evaluates R and R' directly as a theta
-quotient (DLMF §23.6(i), series from §20.2(i)); `wp` adds e1 = alpha.
-`wp_lattice_sum_oracle` is the slow independent cross-check.
+point (`_pycore.wp_pair`) reduces into the fundamental cell and returns R and
+R' themselves: POLE at lattice points, the exact values 0, -beta, -1/beta at
+the half-periods, and otherwise the theta quotient (DLMF §23.6(i), series
+from §20.2(i)); `wp` adds e1 = alpha. `POLE` is the kernel's marker,
+re-exported here. `wp_lattice_sum_oracle` is the slow independent
+cross-check.
 """
 from __future__ import annotations
 
 import math
 
 from . import _backend
+from ._pycore import POLE
 from .lattice import Lattice
 from .params import CurveParams
 
-
-class _Pole:
-    """Marker value for lattice points (the double pole)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "POLE"
-
-
-POLE = _Pole()
-
-NodeValue = complex | _Pole
+NodeValue = complex | type(POLE)
 
 
 def is_pole(value: NodeValue) -> bool:
@@ -74,24 +65,14 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def _R_with_prime(z: complex, lat: Lattice, par: CurveParams):
+def _R_with_prime(z: complex, lat: Lattice):
     """(R(z), R'(z)) from one kernel call; both POLE at lattice points."""
-    z = _check_z(z)
-    r, dr, flag = _backend.wp_pair(z, lat.theta)
-    if flag == _backend.OK:
-        return r, dr
-    if flag == _backend.POLE_FLAG:
-        return POLE, POLE
-    if flag == _backend.HALF_RE:
-        return 0j, 0j
-    if flag == _backend.HALF_IM:
-        return complex(-par.beta), 0j
-    return complex(-1.0 / par.beta), 0j
+    return _backend.wp_pair(_check_z(z), lat.theta)
 
 
 def wp_with_prime(z: complex, lat: Lattice, par: CurveParams):
     """(wp(z), wp'(z)) sharing one reduction; both POLE at lattice points."""
-    r, dr = _R_with_prime(z, lat, par)
+    r, dr = _R_with_prime(z, lat)
     if r is POLE:
         return POLE, POLE
     return r + par.e1, dr
@@ -102,17 +83,17 @@ def wp(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
 
 
 def wp_prime(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
-    return _R_with_prime(z, lat, par)[1]
+    return _R_with_prime(z, lat)[1]
 
 
 def essential_R(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
     """R(z) = wp(z) - alpha, or POLE at lattice points."""
-    return _R_with_prime(z, lat, par)[0]
+    return _R_with_prime(z, lat)[0]
 
 
 def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
     """(R'(z)/R(z))^2. Rejects lattice points and zeros of R."""
-    r, dr = _R_with_prime(z, lat, par)
+    r, dr = _R_with_prime(z, lat)
     if r is POLE:
         raise ValueError("z is a lattice point (pole of R)")
     if r == 0:
@@ -127,6 +108,6 @@ def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
     cutoff = int(cutoff)
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
-    if _backend.wp_pair(z, lat.theta)[2] == _backend.POLE_FLAG:
+    if _backend.wp_pair(z, lat.theta)[0] is POLE:
         raise ValueError("z is (numerically) a lattice point")
     return _backend.lattice_sum(z, lat.omega1, lat.omega2_im, cutoff)

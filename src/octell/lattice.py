@@ -16,8 +16,15 @@ from .params import CurveParams
 
 @dataclass(frozen=True)
 class Lattice:
+    """Half-periods of the curve with parameter beta.
+
+    beta rides along so that the kernel can return the exact half-period
+    values -beta and -1/beta itself.
+    """
+
     omega1: float      # real half-period, > 0
     omega2_im: float   # imaginary part of the purely imaginary half-period
+    beta: float        # the curve parameter, > 1
 
     @property
     def omega2(self) -> complex:
@@ -26,7 +33,7 @@ class Lattice:
     @cached_property
     def theta(self) -> ThetaConstants:
         """Constants of the theta-quotient kernel, computed once per lattice."""
-        return theta_constants(self.omega1, self.omega2_im)
+        return theta_constants(self.omega1, self.omega2_im, self.beta)
 
 
 def agm(a: float, b: float) -> float:
@@ -43,4 +50,4 @@ def compute_lattice(params: CurveParams) -> Lattice:
     sb = math.sqrt(beta)
     w1 = math.pi / (2.0 * agm(sb, 1.0 / sb))
     w2i = math.pi / (2.0 * agm(sb, math.sqrt(params.d)))
-    return Lattice(w1, w2i)
+    return Lattice(w1, w2i, beta)

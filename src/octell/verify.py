@@ -314,42 +314,45 @@ def verify_claims(
 # grid verification
 
 def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
-    """Circle inversion maps each family of mapped coordinate lines onto the
-    symmetric member of the same family; spot-check pointwise."""
+    """Each mirror circle's inversion maps line k of its family onto line
+    8 - k at the same parameter; spot-check lines k = 2, 4, 6, each evaluated
+    once at 17 samples.
+
+    Red line k is Im z = k*omega2/8, and conjugation then the omega2
+    translation (inversion in |R + beta| = beta/delta) sends it onto red
+    line 8 - k. Blue line k is Re z = k*omega1/8, and conjugation then the
+    omega1 translation (inversion in |R| = 1) sends it onto Re z =
+    (8 + k)*omega1/8 with the parameter reflected, which is blue line 8 - k
+    at the same parameter because R is even and 2*omega1-periodic.
+    """
     w1, w2i = lat.omega1, lat.omega2_im
-    # inversion about the circle centered -beta, radius beta/delta (the omega2
-    # translation after conjugation) maps the red line at height k*w2i/8 onto
-    # the one at (8-k)*w2i/8
-    ts = [(j + 0.3) * 2.0 * w1 / 17.0 for j in range(17)]
-    red = {
-        k: [essential_R(complex(t, k * w2i / 8.0), lat, params) for t in ts]
-        for k in (2, 4, 6)
-    }
-    return [
-        _worst_check(
-            "red_circle_inverts_red_lines",
+
+    def check(name, point, translate):
+        lines = {
+            k: [essential_R(point(k, j), lat, params) for j in range(17)]
+            for k in (2, 4, 6)
+        }
+        return _worst_check(
+            name,
             INVERSION_TOL,
-            "lines k=2,4,6 vs k=14,12,10 (same parameter), max rel err",
+            "lines k=2,4,6 vs k=6,4,2 (same parameter), max rel err",
             (
-                (tgt, shift_omega2(v.conjugate(), params))
+                (tgt, translate(v.conjugate()))
                 for k in (2, 4, 6)
-                for v, tgt in zip(red[k], red[8 - k])
+                for v, tgt in zip(lines[k], lines[8 - k])
             ),
+        )
+
+    return [
+        check(
+            "red_circle_inverts_red_lines",
+            lambda k, j: complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0),
+            lambda v: shift_omega2(v, params),
         ),
-        # unit-circle inversion (the omega1 translation after conjugation) maps
-        # the blue line at a onto the one at a + w1, with the parameter reflected
-        _worst_check(
+        check(
             "blue_circle_inverts_blue_lines",
-            INVERSION_TOL,
-            "lines k=2,4,6 vs k=10,12,14 (reflected parameter), max rel err",
-            (
-                (
-                    essential_R(complex(a + w1, -s), lat, params),
-                    shift_omega1(essential_R(complex(a, s), lat, params).conjugate()),
-                )
-                for a in (k * w1 / 8.0 for k in (2, 4, 6))
-                for s in ((j + 0.3) * 2.0 * w2i / 17.0 for j in range(17))
-            ),
+            lambda k, j: complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0),
+            shift_omega1,
         ),
     ]
 

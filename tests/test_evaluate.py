@@ -17,6 +17,7 @@ from octell import (
     wp_prime,
     wp_with_prime,
 )
+from octell import _pycore
 from octell.evaluate import conj, shift_omega1, shift_omega2
 from conftest import SAMPLE_BETAS, node_z
 
@@ -58,6 +59,31 @@ def test_half_period_values_exact(p3, lat3):
     assert essential_R(w1 + 0j, lat3, p3) == 0j
     assert essential_R(w2, lat3, p3) == pytest.approx(-3.0, rel=1e-15)
     assert essential_R(w1 + w2, lat3, p3) == pytest.approx(-1.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [3.0, 1.0 + 1e-6])
+def test_kernel_returns_values_not_flags(beta):
+    # the kernel itself answers at the lattice points and half-periods
+    par = derive_params(beta)
+    lat = compute_lattice(par)
+    w1, w2 = lat.omega1, lat.omega2_im
+    assert lat.beta == par.beta
+    at = {
+        "node": _pycore.wp_pair(complex(2.0 * w1, -2.0 * w2), lat.theta),
+        "w1": _pycore.wp_pair(complex(w1, 0.0), lat.theta),
+        "w2": _pycore.wp_pair(complex(0.0, w2), lat.theta),
+        "w1+w2": _pycore.wp_pair(complex(w1, w2), lat.theta),
+        "cell": _pycore.wp_pair(complex(0.3 * w1, 0.7 * w2), lat.theta),
+    }
+    assert all(type(v) is tuple and len(v) == 2 for v in at.values())
+    assert at["node"][0] is POLE and at["node"][1] is POLE
+    exact = {"w1": 0j, "w2": complex(-beta), "w1+w2": complex(-1.0 / beta)}
+    for key, want in exact.items():
+        r, dr = at[key]
+        assert (r, dr) == (want, 0j), key
+        assert math.copysign(1.0, r.imag) == math.copysign(1.0, dr.real) == 1.0
+    r, dr = at["cell"]
+    assert isinstance(r, complex) and isinstance(dr, complex)
 
 
 @pytest.mark.parametrize("beta", [1.5, 3.0, 10.0])

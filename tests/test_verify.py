@@ -239,6 +239,48 @@ def test_report_builds_each_input_once(monkeypatch):
     assert calls == {"grid_table": 1, "derive_params": 1, "compute_lattice": 1}
 
 
+def test_report_evaluates_each_point_once(monkeypatch):
+    # 81 nodes, 5 claim points and 3 lines of 17 samples per inversion
+    # family: the blue check pairs its lines like the red one, so no line is
+    # evaluated twice
+    calls = []
+    for name in ("essential_R", "log_deriv_sq"):
+        real = getattr(octell.verify, name)
+
+        def counted(z, *args, _real=real):
+            calls.append(z)
+            return _real(z, *args)
+
+        monkeypatch.setattr(octell.verify, name, counted)
+    assert verify_grid(3.0).passed
+    assert len(calls) == 81 + 5 + 2 * 3 * 17 == 188
+
+
+_RED, _BLUE = "red_circle_inverts_red_lines", "blue_circle_inverts_blue_lines"
+
+
+@pytest.mark.parametrize(
+    "shift, failing, holding",
+    [("shift_omega1", _BLUE, _RED), ("shift_omega2", _RED, _BLUE)],
+)
+def test_perturbed_translation_fails_its_inversion_check(
+    monkeypatch, shift, failing, holding
+):
+    # each inversion check pairs lines through its own family's translation,
+    # so a 1e-5 relative error in that map, ten times INVERSION_TOL,
+    # must fail it and leave the other family's check passing
+    real = getattr(octell.verify, shift)
+
+    def perturbed(v, *args):
+        w = real(v, *args)
+        return w if is_pole(w) else w * (1.0 + 1e-5)
+
+    monkeypatch.setattr(octell.verify, shift, perturbed)
+    props = {p.name: p for p in verify_grid(3.0).property_results}
+    assert not props[failing].passed, props[failing].detail
+    assert props[holding].passed, props[holding].detail
+
+
 def test_verify_passes_near_beta_floor():
     # 1.01 is close to the domain floor; the four half-argument candidates
     # still lie in four distinct regions cut by the two mirror circles, so
