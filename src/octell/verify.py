@@ -22,9 +22,9 @@ never calls the evaluator.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .evaluate import (
     POLE,
@@ -103,7 +103,32 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        """The report as text, byte-identical to
+        json.dumps(self.to_json_obj(), indent=2), written in one pass through
+        fixed templates rather than through the indenting encoder."""
+        return _REPORT % (
+            _num(self.beta),
+            _num(self.tol),
+            _BOOL[self.orientation_flipped],
+            _json_str(self.verdict),
+            _array([
+                _NODE % (
+                    c.m,
+                    c.n,
+                    _json_str(c.symbol),
+                    _nv_text(c.closed),
+                    _nv_text(c.numeric),
+                    _finite_text(c.abs_err),
+                    _finite_text(c.rel_err),
+                )
+                for c in self.per_node
+            ]),
+            _array([
+                _PROPERTY
+                % (_json_str(p.name), _BOOL[p.passed], _json_str(p.detail))
+                for p in self.property_results
+            ]),
+        )
 
 
 def _nv_json(v):
@@ -116,6 +141,60 @@ def _nv_json(v):
 
 def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
+
+
+# `to_json`'s templates: the indent=2 layout of `to_json_obj`, one per level
+_REPORT = """{
+  "schema": 1,
+  "beta": %s,
+  "tol": %s,
+  "orientation_flipped": %s,
+  "verdict": %s,
+  "per_node": %s,
+  "property_results": %s
+}"""
+_NODE = """    {
+      "m": %d,
+      "n": %d,
+      "symbol": %s,
+      "closed": %s,
+      "numeric": %s,
+      "abs_err": %s,
+      "rel_err": %s
+    }"""
+_VALUE = """{
+        "re": %s,
+        "im": %s
+      }"""
+_PROPERTY = """    {
+      "name": %s,
+      "pass": %s,
+      "detail": %s
+    }"""
+_BOOL = {True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    """x as json.dumps writes a number: repr, or NaN, Infinity, -Infinity."""
+    text = repr(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _finite_text(x: float) -> str:
+    return repr(x) if math.isfinite(x) else "null"
+
+
+def _nv_text(v) -> str:
+    if v is None:
+        return '"inconclusive"'
+    if is_pole(v):
+        return '"pole"'
+    return _VALUE % (_num(v.real), _num(v.imag))
+
+
+def _array(blocks: list) -> str:
+    return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
 
 
 def _node_z(lat: Lattice, m: int, n: int) -> complex:
@@ -359,8 +438,8 @@ def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyRe
 
 def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     """Verify all 81 grid nodes and the named identity properties for one beta."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     params = derive_params(beta)
     lat = compute_lattice(params)
     table = grid_table(params)

@@ -6,6 +6,7 @@ import pytest
 
 from octell import backend, compute_lattice, derive_params, essential_R
 from octell.cli import _build_parser, parse_complex, run
+from octell.verify import verify_grid
 
 
 def run_json(capsys, argv):
@@ -125,6 +126,29 @@ def test_verify_fail_exit_code(capsys):
     code, obj = run_json(capsys, ["verify", "--beta", "2.5", "--tol", "1e-30"])
     assert code == 1
     assert obj["verdict"] == "fail"
+
+
+def test_verify_out_file_is_the_report_text(tmp_path, capsys):
+    target = tmp_path / "v.json"
+    assert run(["verify", "--beta", "2.5", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    text = target.read_text()
+    assert text == verify_grid(2.5).to_json() + "\n"
+    assert json.loads(text)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--beta", "3", "--tol", "inf"],
+        ["sweep", "--beta-min", "1.5", "--beta-max", "2", "--tol", "1e999"],
+    ],
+)
+def test_non_finite_tol_is_domain_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("octell: error: tol must be finite")
 
 
 def test_sweep_command(capsys):

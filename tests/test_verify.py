@@ -1,11 +1,13 @@
 import json
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from octell import (
+    POLE,
     compute_lattice,
     derive_params,
     essential_R,
@@ -18,7 +20,12 @@ from octell import (
 )
 import octell.verify
 from octell.radicals import ClosedFormTable
-from octell.verify import _halve_branch
+from octell.verify import (
+    NodeCheck,
+    PropertyResult,
+    VerificationReport,
+    _halve_branch,
+)
 from conftest import node_z
 
 
@@ -52,6 +59,14 @@ def test_verify_grid_tol_is_plumbed_through():
         verify_grid(3.0, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_verify_grid_rejects_non_finite_tol(tol):
+    # rel_err <= inf holds at every finite node, so tol = inf would pass them
+    # all, and the report could not state it as an RFC 8259 number
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_grid(3.0, tol=tol)
+
+
 def test_report_json_shape():
     rep = verify_grid(1.5)
     obj = rep.to_json_obj()
@@ -68,6 +83,50 @@ def test_report_json_shape():
     names = [p["name"] for p in again["property_results"]]
     assert "triple_source_agreement" in names
     assert "conjugate_node_consistency" in names
+
+
+def _dumps(rep):
+    return json.dumps(rep.to_json_obj(), indent=2)
+
+
+def test_to_json_matches_json_dumps_at_seeded_betas():
+    rng = random.Random(50)
+    betas = [rng.uniform(1.01, 20.0) for _ in range(30)]
+    betas += [1.0 + 10.0 ** rng.uniform(-6.0, math.log10(3e7)) for _ in range(30)]
+    seen = set()
+    for beta in betas + [1e4, 3e7]:
+        rep = verify_grid(beta)
+        assert rep.to_json() == _dumps(rep), beta
+        triple = next(
+            p for p in rep.property_results if p.name == "triple_source_agreement"
+        )
+        seen.add(rep.verdict)
+        if any(c.rel_err > rep.tol for c in rep.per_node):
+            seen.add("node_fail")
+        if "inconclusive oracle nodes" in triple.detail:
+            seen.add("inconclusive")
+    assert seen == {"pass", "fail", "node_fail", "inconclusive"}
+
+
+def test_to_json_matches_json_dumps_on_edge_values():
+    # every value kind a node can hold, non-finite errors and complex parts,
+    # signed zeros, and strings that need escaping
+    odd = 'q" b\\ \x07 \x7f \u03b2 \U0001d53c'
+    nodes = (
+        NodeCheck(0, 0, odd, POLE, POLE, 0.0, 0.0),
+        NodeCheck(1, 0, "a", None, complex(-0.0, 0.0), math.inf, math.inf),
+        NodeCheck(0, 1, "b", POLE, complex(math.nan, math.inf), math.nan, -1.0),
+        NodeCheck(8, 8, "c", complex(-math.inf, -0.0), 5e-324j, 1e300, -math.inf),
+    )
+    props = (
+        PropertyResult(odd, True, "tab\there"),
+        PropertyResult("claim", False, odd),
+    )
+    for beta, tol, flipped in ((-0.0, 1e-9, True), (math.nan, math.inf, False)):
+        rep = VerificationReport(beta, tol, flipped, nodes, props, odd)
+        assert rep.to_json() == _dumps(rep)
+    empty = VerificationReport(3.0, 5, False, (), (), "pass")
+    assert empty.to_json() == _dumps(empty)
 
 
 def test_property_results_all_pass():
