@@ -7,7 +7,9 @@ R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
     v = pi z / (2w),  nome q = exp(-pi w2i / w1),
 
 with the theta series of DLMF §20.2(i). The half-period w is always the
-shorter one, so q <= exp(-pi) and a few terms reach full precision:
+shorter one, so q <= exp(-pi) and a few terms reach full precision. q must
+be a normal float, which holds for beta up to about 1.67e153; beyond that
+`theta_constants` raises ValueError rather than lose the answer's digits.
 
 - w1 <= w2i: the formula above, with w = w1.
 - w1 > w2i: rotate the lattice by i. wp(z; L) = -wp(iz; iL), and on iL the
@@ -36,6 +38,7 @@ value.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 
@@ -90,6 +93,12 @@ def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
     rotated = w1 > w2i
     short, long_ = (w2i, w1) if rotated else (w1, w2i)
     q = math.exp(-math.pi * long_ / short)
+    if q < sys.float_info.min:
+        # a subnormal q has lost relative precision, and a zero one divides
+        raise ValueError(
+            f"beta = {beta!r} is out of range: the theta nome "
+            f"exp(-pi*{long_ / short:.6g}) underflows (beta up to about 1.67e153)"
+        )
 
     def tail(j, shift):
         # sum over n >= j of (-1)^n q^(n(n+1) - shift)

@@ -7,15 +7,15 @@ value of R with another takes the worst scaled error |a - b| / max(1, |a|)
 over its pairs against a limit.
 
 The half-argument oracle rebuilds the base block m, n <= 4 of the grid from
-the exact half-period seeds (0, -beta, -1/beta, pole) using only the
-bisection identity
+the exact half-period seeds (0, -beta, -1/beta, pole) using only the halving
+identity in product form (DLMF ch. 23)
 
-    R(z/2) = R(z) + s1*sqrt(R(R+1/b)) + s2*sqrt((R+1/b)(R+b)) + s3*sqrt((R+b)R)
+    R(z/2) = (q1 + s*q2)(q1 + t*q3),  q1 = sqrt(R), q2 = sqrt(R + 1/b), q3 = sqrt(R + b)
 
-with sign triples constrained to s1*s2*s3 = +1, and half-period translation
-identities R(z+omega1) = 1/R(z), R(z+omega2) = -beta + beta*d/(R(z)+beta)
-(`evaluate.shift_omega1`, `evaluate.shift_omega2`); the table's conjugate
-mirror fills the other 56 nodes. The paper's two mirror circles, |R| = 1 and
+with one sign pair (s, t) for each of the four halves, and the table's
+conjugate mirror: the five quarter-period nodes are halved from the mirrored
+seeds, then the odd nodes from the mirrored even block, and the mirror fills
+the other 56 nodes. The paper's two mirror circles, |R| = 1 and
 |R + beta| = beta/delta, pick among the four branch candidates; the oracle
 never calls the evaluator.
 """
@@ -224,54 +224,66 @@ def _worst_check(
 # ---------------------------------------------------------------------------
 # half-argument oracle
 
-_SIGN_TRIPLES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+_GATE = 16.0 * math.ulp(1.0)  # least winning margin of `_halve_branch`
 
 
 def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
     """R at base-block node (m, n) from v = R at node (2m, 2n), or None.
 
-    The four sign-triple candidates are R at the four mirror images of the
-    node in the quarter cell, one in each sub-rectangle cut by the midlines,
-    so the paper's mirror circles tell them apart: |R| > 1 iff m < 2 (R maps
-    Re z = omega1/2 onto |R| = 1), |R + beta| > beta/delta iff n < 2 (Im z =
-    omega2/2 maps onto the red circle), and Im R < 0 inside the quarter cell.
-    A test is skipped when the node lies on its boundary. The candidate whose
-    worst signed margin, scaled by max(1, |c|), is largest wins; a winning
-    margin within 4 ulp(beta) gives None rather than a guess.
+    With q1 = sqrt(R), q2 = sqrt(R + 1/beta), q3 = sqrt(R + beta) the four
+    halves are (q1 +- q2)(q1 +- q3). Each pair multiplies to an exact root
+    gap, (q1 + q2)(q1 - q2) = -1/beta and (q1 + q3)(q1 - q3) = -beta, so with
+    u and w the larger factor of each pair the candidates are u*w,
+    -beta*u/w, -w/(beta*u) and 1/(u*w), none of them a difference of nearly
+    equal numbers.
 
-    The three radical terms must come from one consistent choice of the
-    individual roots sqrt(R), sqrt(R+1/b), sqrt(R+b): then their product is
-    exactly R(R+1/b)(R+b) = (R'/2)^2 and the sign triples multiplying to +1
-    enumerate the four half-points. Taking principal roots of the pairwise
-    products instead breaks the constraint wherever that cubic leaves the
-    positive real axis.
+    They are R at the four mirror images of the node in the quarter cell,
+    one in each sub-rectangle cut by the midlines, so the paper's mirror
+    circles tell them apart: |R| > 1 iff m < 2 (R maps Re z = omega1/2 onto
+    |R| = 1), |R + beta| > beta/delta iff n < 2 (Im z = omega2/2 maps onto
+    the red circle), and Im R < 0 inside the quarter cell. A test is skipped
+    when the node lies on its boundary. The red margin |c + beta| - beta/delta
+    is written (|c|^2 + 2 beta Re c + 1)/(|c + beta| + beta/delta), by
+    (beta/delta)^2 + 1 = beta^2, so that it subtracts no two numbers of size
+    beta. The candidate whose worst signed margin, scaled by max(1, |c|), is
+    largest wins; a winning margin within `_GATE` gives None rather than a
+    guess.
     """
     beta = params.beta
     radius = beta / params.delta
     q1 = cmath.sqrt(v)
     q2 = cmath.sqrt(v + 1.0 / beta)
     q3 = cmath.sqrt(v + beta)
-    r1 = q1 * q2
-    r2 = q2 * q3
-    r3 = q3 * q1
-
-    def margin(c):
-        signed = []
-        if m != 2:
-            signed.append((abs(c) - 1.0) * (1 if m < 2 else -1))
-        if n != 2:
-            signed.append((abs(c + beta) - radius) * (1 if n < 2 else -1))
-        if 0 < m < 4 and 0 < n < 4:
-            signed.append(-c.imag)
-        return min(signed) / max(1.0, abs(c))
-
-    cands = [v + s1 * r1 + s2 * r2 + s3 * r3 for (s1, s2, s3) in _SIGN_TRIPLES]
-    best = max(cands, key=margin)
-    return best if margin(best) > 4.0 * math.ulp(beta) else None
+    # q1 + q and q1 - q: the larger has Re(q1 * conj(q)) >= 0
+    u = q1 + q2 if q1.real * q2.real + q1.imag * q2.imag >= 0.0 else q1 - q2
+    w = q1 + q3 if q1.real * q3.real + q1.imag * q3.imag >= 0.0 else q1 - q3
+    uw = u * w
+    unit = (m < 2) - (m > 2)  # +1: outside |R| = 1, -1: inside, 0: no test
+    red = (n < 2) - (n > 2)   # the same for the red circle
+    inner = 0 < m < 4 and 0 < n < 4
+    best, best_margin = None, -math.inf
+    for c in (uw, -beta * u / w, -w / (beta * u), 1.0 / uw):
+        size = abs(c)
+        worst = unit * (size - 1.0) if unit else math.inf
+        if red:
+            gap = (size * size + 2.0 * beta * c.real + 1.0) / (abs(c + beta) + radius)
+            worst = min(worst, red * gap)
+        if inner and -c.imag < worst:
+            worst = -c.imag
+        margin = worst / size if size > 1.0 else worst
+        if margin > best_margin:
+            best, best_margin = c, margin
+    return best if best_margin > _GATE else None
 
 
 def _conj_or_none(v):
     return None if v is None else conj(v)
+
+
+# the halving order: quarter-period nodes from the mirrored seeds, then the
+# odd nodes of the base block from the mirrored even block
+_QUARTER_NODES = ((2, 0), (0, 2), (2, 2), (4, 2), (2, 4))
+_ODD_NODES = tuple((m, n) for m in range(5) for n in range(5) if m % 2 or n % 2)
 
 
 def half_argument_oracle(params: CurveParams, lat: Lattice):
@@ -282,25 +294,13 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     """
     beta = params.beta
     B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4
-
-    def halve(grid, m, n):
-        src = grid[2 * m][2 * n]
-        B[m][n] = None if src is None else _halve_branch(src, m, n, params)
-
     # exact half-period seeds
     B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
-    # quarter-period nodes by one bisection; halving -beta for (4, 2) would
-    # cancel to about beta^2 * eps, so (4, 2) and (2, 4) are translations
-    for m, n in ((2, 0), (0, 2), (2, 2)):
-        halve(B, m, n)
-    B[4][2] = None if B[0][2] is None else shift_omega1(B[0][2])
-    B[2][4] = None if B[2][0] is None else shift_omega2(B[2][0], params)
-    # eighth-period nodes by a second bisection of the mirrored even nodes
-    even = mirror_block(B, _conj_or_none)
-    for m in range(5):
-        for n in range(5):
-            if m % 2 or n % 2:
-                halve(even, m, n)
+    for nodes in (_QUARTER_NODES, _ODD_NODES):
+        grid = mirror_block(B, _conj_or_none)
+        for m, n in nodes:
+            src = grid[2 * m][2 * n]
+            B[m][n] = None if src is None else _halve_branch(src, m, n, params)
     return mirror_block(B, _conj_or_none)
 
 

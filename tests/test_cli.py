@@ -177,6 +177,16 @@ def test_figure_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv", [["eval", "--beta", "1e300", "--z", "1"], ["figure", "--beta", "1e300"]]
+)
+def test_beta_past_the_nome_underflow_is_domain_error(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("octell: error: beta = 1e+300")
+    # params builds no theta constants and still answers
+    assert run(["params", "--beta", "1e300"]) == 0
+
+
 def test_figure_bad_config(capsys):
     assert run(["figure", "--lines", "1"]) == 2
 

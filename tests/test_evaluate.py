@@ -218,11 +218,11 @@ def test_conj_keeps_pole_and_zero_signs(p3, lat3):
 MPMATH_BETAS = (1.0 + 1e-6, 1.001, 3.0, 50.0, 1e3, 1e6, 1e12)
 
 
-def mpmath_R_and_prime(beta, z):
+def mpmath_R_and_prime(beta, z, dps=40):
     """R = beta cn^2/sn^2 (sqrt(beta) z | 1 - 1/beta^2) and
-    R' = -2 beta^(3/2) cn dn / sn^3, at 40 digits and the exact float z."""
+    R' = -2 beta^(3/2) cn dn / sn^3, at dps digits and the exact float z."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
+    with mp.workdps(dps):
         b = mp.mpf(beta)
         m = 1 - 1 / (b * b)
         sb = mp.sqrt(b)
@@ -242,6 +242,33 @@ def test_matches_mpmath_over_the_cell(beta):
         dr = wp_prime(z, lat, p)
         worst = max(worst, abs(r - ref) / max(1.0, abs(ref)), abs(dr - dref) / max(1.0, abs(dref)))
     assert worst <= 1e-13, f"worst scaled error {worst:.3g} at beta={beta!r}"
+
+
+# --- the kernel's range: beta up to about 1.67e153 ---------------------------
+
+def test_largest_supported_beta_matches_mpmath():
+    # the nome q is still a normal float at 1e153; the reference needs about
+    # 2*log10(beta) extra digits, as 1 - 1/beta^2 is the parameter
+    beta = 1e153
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    worst = 0.0
+    for z in cell_points(lat, 3, seed=17):
+        ref, dref = mpmath_R_and_prime(beta, z, dps=2 * 153 + 60)
+        r = essential_R(z, lat, p)
+        dr = wp_prime(z, lat, p)
+        worst = max(worst, abs(r - ref) / max(1.0, abs(ref)), abs(dr - dref) / max(1.0, abs(dref)))
+    assert worst <= 1e-12, f"worst scaled error {worst:.3g}"
+
+
+@pytest.mark.parametrize("beta", [1e154, 1e300])
+def test_beta_past_the_nome_underflow_raises(beta):
+    # from about 1.67e153 the nome is subnormal and the answers lose their
+    # digits without notice; from about 1e161 it is 0 and the kernel divided by it
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    with pytest.raises(ValueError, match="nome"):
+        essential_R(complex(0.3 * lat.omega1, 0.2 * lat.omega2_im), lat, p)
 
 
 # --- lattice-sum cross-check ------------------------------------------------

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,7 +88,19 @@ def _dumps(rep):
     return json.dumps(rep.to_json_obj(), indent=2)
 
 
-def test_to_json_matches_json_dumps_at_seeded_betas():
+def _refuse_node_1_1(monkeypatch):
+    """Make verify_grid's oracle refuse node (1, 1) as inconclusive."""
+    real_oracle = octell.verify.half_argument_oracle
+
+    def one_refused(params, lat):
+        T = real_oracle(params, lat)
+        T[1][1] = None
+        return T
+
+    monkeypatch.setattr(octell.verify, "half_argument_oracle", one_refused)
+
+
+def test_to_json_matches_json_dumps_at_seeded_betas(monkeypatch):
     rng = random.Random(50)
     betas = [rng.uniform(1.01, 20.0) for _ in range(30)]
     betas += [1.0 + 10.0 ** rng.uniform(-6.0, math.log10(3e7)) for _ in range(30)]
@@ -105,6 +116,13 @@ def test_to_json_matches_json_dumps_at_seeded_betas():
             seen.add("node_fail")
         if "inconclusive oracle nodes" in triple.detail:
             seen.add("inconclusive")
+    # no beta in the domain leaves an oracle node inconclusive, so the
+    # inconclusive note comes from a refusing oracle
+    _refuse_node_1_1(monkeypatch)
+    rep = verify_grid(3.0)
+    assert rep.to_json() == _dumps(rep)
+    assert "inconclusive oracle nodes [(1, 1)]" in rep.to_json()
+    seen.add("inconclusive")
     assert seen == {"pass", "fail", "node_fail", "inconclusive"}
 
 
@@ -193,9 +211,15 @@ def test_halve_branch_selection(p3):
 def test_halve_branch_refuses_node_on_its_boundary(p3):
     # the halves of 0 are +-1, R at (2, 0) and (2, 4), on the unit circle:
     # none lies strictly outside it as node (1, 0) requires, so the winning
-    # margin is within 4 ulp(beta) and the node is refused, not guessed
+    # margin is within the fixed gate of 16 eps and the node is refused, not
+    # guessed
     assert _halve_branch(0j, 1, 0, p3) is None
     assert _halve_branch(0j, 2, 0, p3) == pytest.approx(1.0, rel=1e-15)
+    # halving a tiny positive v puts the halves 2.3*sqrt(v) off the circle:
+    # about 4 eps is within the gate, about 32 eps clears it
+    for m in (1, 3):
+        assert _halve_branch(complex(1.6e-31), m, 0, p3) is None
+        assert _halve_branch(complex(1e-29), m, 0, p3) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_oracle_never_calls_the_evaluator(monkeypatch, p3, lat3):
@@ -246,21 +270,49 @@ def test_table_swapped_across_unit_circle_fails(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=12.0).map(lambda x: 1.0 + 10.0 ** x))
 def test_oracle_conclusive_nodes_match_evaluator(beta):
-    # beta - 1 log-uniform over the whole domain; the halving formula's
-    # rounding error grows like beta * eps
+    # beta - 1 log-uniform over the whole domain: every node is conclusive,
+    # and the product form's error does not grow with beta
     params = derive_params(beta)
     lat = compute_lattice(params)
     oracle = half_argument_oracle(params, lat)
-    limit = max(1e-12, 64.0 * sys.float_info.epsilon * beta)
     for m in range(9):
         for n in range(9):
             got = oracle[m][n]
-            if got is None:
-                continue
+            assert got is not None, (m, n)
             want = essential_R(node_z(lat, m, n), lat, params)
             assert is_pole(got) == is_pole(want), (m, n)
             if not is_pole(want):
-                assert abs(got - want) / max(1.0, abs(want)) <= limit, (m, n)
+                assert abs(got - want) / max(1.0, abs(want)) <= 1e-12, (m, n)
+
+
+def mpmath_node_R(beta, m, n):
+    """R at the exact node (m*omega1 + n*omega2)/4 at 40 digits:
+    beta cn^2/sn^2 (u | 1 - 1/beta^2) at u = (m K + i n K')/4."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        k = 1 / (b * b)
+        u = mp.mpc(m * mp.ellipk(1 - k), n * mp.ellipk(k)) / 4
+        sn, cn = (mp.ellipfun(f, u, m=1 - k) for f in ("sn", "cn"))
+        return complex(b * cn * cn / (sn * sn))
+
+
+def test_oracle_matches_mpmath_over_the_domain():
+    # beta - 1 log-uniform on [1e-6, 1e12]; the base block m, n <= 4 against
+    # mpmath; the other nodes are its exact mirrors (test_oracle_mirrors_exactly)
+    rng = random.Random(11)
+    betas = [1.0 + 10.0 ** rng.uniform(-6.0, 12.0) for _ in range(10)]
+    for beta in betas + [1.0 + 1e-6, 1e12]:
+        params = derive_params(beta)
+        oracle = half_argument_oracle(params, compute_lattice(params))
+        assert all(v is not None for col in oracle for v in col), beta
+        for m in range(5):
+            for n in range(5):
+                if m % 4 == 0 and n % 4 == 0:
+                    continue  # the exact seeds
+                want = mpmath_node_R(beta, m, n)
+                err = abs(oracle[m][n] - want) / max(1.0, abs(want))
+                assert err <= 1e-12, (beta, m, n, err)
 
 
 # --- one fixed row orientation, one setup per report ------------------------
@@ -370,14 +422,7 @@ def test_inconclusive_oracle_node_fails_verdict(monkeypatch):
     # an oracle node refused as inconclusive must fail the verdict through
     # the triple-source property, never pass on luck; the direct
     # closed-vs-numeric checks still hold
-    real_oracle = octell.verify.half_argument_oracle
-
-    def one_refused(params, lat):
-        T = real_oracle(params, lat)
-        T[1][1] = None
-        return T
-
-    monkeypatch.setattr(octell.verify, "half_argument_oracle", one_refused)
+    _refuse_node_1_1(monkeypatch)
     rep = verify_grid(3.0)
     assert rep.verdict == "fail"
     assert all(c.rel_err <= rep.tol for c in rep.per_node)
