@@ -1,42 +1,18 @@
 """Shifted Weierstrass functions on rectangular lattices: closed-form node
 tables, numeric evaluation, cross-verification and figure rendering.
+
+Importing the package is lazy. `import octell` loads only the numeric kernel
+(`octell._backend` and `octell._pycore`); each other name of `__all__` is
+imported from its submodule the first time it is looked up, through the
+module `__getattr__` (PEP 562), and then bound here. `from octell import X`,
+`from octell import *` and `octell.X` all work as with eager imports, and
+`dir(octell)` lists `__all__`.
 """
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
 from ._backend import BACKEND as _BACKEND
-from .evaluate import (
-    POLE,
-    essential_R,
-    is_pole,
-    log_deriv_sq,
-    wp,
-    wp_lattice_sum_oracle,
-    wp_prime,
-    wp_with_prime,
-)
-from .figure import FigureConfig, render_figure
-from .lattice import Lattice, agm, compute_lattice
-from .params import CurveParams, derive_params
-from .radicals import (
-    ClosedFormTable,
-    RadicalCatalog,
-    ascending_sequence,
-    branch_radicand,
-    build_catalog,
-    gamma4,
-    grid_table,
-    tribonacci_b,
-)
-from .verify import (
-    PropertyResult,
-    VerificationReport,
-    half_argument_oracle,
-    sweep,
-    verify_claims,
-    verify_grid,
-)
 
 
 def backend() -> str:
@@ -44,36 +20,52 @@ def backend() -> str:
     return _BACKEND
 
 
-__all__ = [
-    "__version__",
-    "CurveParams",
-    "derive_params",
-    "Lattice",
-    "agm",
-    "compute_lattice",
-    "POLE",
-    "is_pole",
-    "wp",
-    "wp_prime",
-    "wp_with_prime",
-    "essential_R",
-    "log_deriv_sq",
-    "wp_lattice_sum_oracle",
-    "tribonacci_b",
-    "ascending_sequence",
-    "branch_radicand",
-    "RadicalCatalog",
-    "build_catalog",
-    "gamma4",
-    "ClosedFormTable",
-    "grid_table",
-    "VerificationReport",
-    "PropertyResult",
-    "verify_grid",
-    "verify_claims",
-    "half_argument_oracle",
-    "sweep",
-    "FigureConfig",
-    "render_figure",
-    "backend",
-]
+# each lazily imported public name -> the submodule that defines it
+_LAZY = {
+    "CurveParams": "params",
+    "derive_params": "params",
+    "Lattice": "lattice",
+    "agm": "lattice",
+    "compute_lattice": "lattice",
+    "POLE": "evaluate",
+    "is_pole": "evaluate",
+    "wp": "evaluate",
+    "wp_prime": "evaluate",
+    "wp_with_prime": "evaluate",
+    "essential_R": "evaluate",
+    "log_deriv_sq": "evaluate",
+    "wp_lattice_sum_oracle": "evaluate",
+    "tribonacci_b": "radicals",
+    "ascending_sequence": "radicals",
+    "branch_radicand": "radicals",
+    "RadicalCatalog": "radicals",
+    "build_catalog": "radicals",
+    "gamma4": "radicals",
+    "ClosedFormTable": "radicals",
+    "grid_table": "radicals",
+    "VerificationReport": "verify",
+    "PropertyResult": "verify",
+    "verify_grid": "verify",
+    "verify_claims": "verify",
+    "half_argument_oracle": "verify",
+    "sweep": "verify",
+    "FigureConfig": "figure",
+    "render_figure": "figure",
+}
+
+__all__ = ["__version__", *_LAZY, "backend"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

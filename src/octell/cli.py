@@ -6,13 +6,8 @@ an --out file that cannot be written).
 """
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import functools
-import json
-import re
 import sys
-from pathlib import Path
 
 from . import __version__
 from ._backend import BACKEND
@@ -23,29 +18,51 @@ from .evaluate import (
     wp,
     wp_prime,
 )
-from .figure import GOLDEN_BETA, FigureConfig, render_figure
 from .lattice import compute_lattice
-from .params import derive_params
+from .params import GOLDEN_BETA, derive_params
 from .radicals import grid_table
-from .verify import _nv_json, sweep, verify_grid
+
+# argparse, json, re and the verify and figure modules are imported by the
+# code that uses them: importing this module, or building one grid through
+# it, loads none of them.
+
+
+def __getattr__(name: str):
+    """`verify_grid` and `sweep`, imported from `octell.verify` on first use.
+
+    `_cmd_verify` and `_cmd_sweep` call them through this module's attribute,
+    so that whatever is bound there when they run, a profiler's wrapper
+    included, is what runs.
+    """
+    if name not in ("verify_grid", "sweep"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
 
 # decimal literals only: "1.5", "-2", "0.5+1.25i", "3-0.5i", "2i", "-i", "i"
-_COMPLEX_RE = re.compile(
-    r"""^\s*
+_COMPLEX_PATTERN = r"""^\s*
     (?:
         (?P<re>[+-]?(?:\d+\.?\d*|\.\d+))
         (?:(?P<im1>[+-](?:\d+\.?\d*|\.\d+)?)i)?
         |
         (?P<im2>[+-]?(?:\d+\.?\d*|\.\d+)?)i
     )
-    \s*$""",
-    re.VERBOSE,
-)
+    \s*$"""
+
+
+@functools.cache
+def _complex_re():
+    import re
+
+    return re.compile(_COMPLEX_PATTERN, re.VERBOSE)
 
 
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'bi', or 'a+bi' with plain decimal parts (no exponents)."""
-    m = _COMPLEX_RE.match(text)
+    m = _complex_re().match(text)
     if not m:
         raise ValueError(f"not a complex literal: {text!r}")
     re_part = float(m.group("re") or 0.0)
@@ -63,12 +80,15 @@ def parse_complex(text: str) -> complex:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(obj, out: str | None) -> None:
+    import json
+
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
@@ -77,7 +97,7 @@ def _cmd_params(args) -> int:
     lat = compute_lattice(params)
     obj = {
         "schema": 1,
-        **dataclasses.asdict(params),
+        **params._asdict(),
         "omega1": lat.omega1,
         "omega2_im": lat.omega2_im,
         "backend": BACKEND,
@@ -115,6 +135,8 @@ _EVAL = {"R": essential_R, "wp": wp, "wp_prime": wp_prime, "log_deriv_sq": log_d
 
 
 def _cmd_eval(args) -> int:
+    from .verify import _nv_json
+
     params = derive_params(args.beta)
     lat = compute_lattice(params)
     z = parse_complex(args.z)
@@ -131,13 +153,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_grid(args.beta, tol=args.tol)
+    report = sys.modules[__name__].verify_grid(args.beta, tol=args.tol)
     _emit(report.to_json() + "\n", args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_sweep(args) -> int:
-    results = sweep(args.beta_min, args.beta_max, args.steps, tol=args.tol)
+    results = sys.modules[__name__].sweep(
+        args.beta_min, args.beta_max, args.steps, tol=args.tol
+    )
     rows = [
         {
             "beta": b,
@@ -152,6 +176,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from .figure import FigureConfig, render_figure
+
     viewport = None
     if args.viewport:
         viewport = tuple(args.viewport)
@@ -168,6 +194,8 @@ def _cmd_figure(args) -> int:
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="octell",
         description="Shifted Weierstrass grid values, verification and figures.",

@@ -49,13 +49,14 @@ def shift_omega2(v: NodeValue, par: CurveParams) -> NodeValue:
     which subtracts no nearly equal numbers at large beta (beta - d = 1/beta).
     Maps Im z = omega2/2 onto the red circle |R + beta| = beta/delta.
     """
+    beta = par.beta   # one field read: a render calls this for ~1,700 samples
     if v is POLE:
-        return complex(-par.beta)
-    p = v + 1.0 / par.beta
+        return complex(-beta)
+    p = v + 1.0 / beta
     den = p + par.d
-    if v == -par.beta or den == 0:
+    if v == -beta or den == 0:
         return POLE
-    return -par.beta * p / den
+    return -beta * p / den
 
 
 def _check_z(z: complex) -> complex:

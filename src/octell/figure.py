@@ -15,26 +15,29 @@ renders can be compared byte-for-byte in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .evaluate import POLE, conj, essential_R, shift_omega1, shift_omega2
 from .lattice import compute_lattice
-from .params import derive_params
-
-GOLDEN_BETA = (3.0 + math.sqrt(5.0)) / 2.0
+from .params import GOLDEN_BETA, derive_params
 
 RED = "#c1272d"
 BLUE = "#1f4e9c"
 _PX = 800
 
 
-@dataclass(frozen=True)
-class FigureConfig:
-    beta: float = GOLDEN_BETA
-    lines_per_axis: int = 16
-    samples_per_line: int = 512
-    viewport: tuple | None = None  # (xmin, xmax, ymin, ymax)
-    clip_radius: float | None = None
+class FigureConfig(
+    namedtuple(
+        "FigureConfig",
+        "beta lines_per_axis samples_per_line viewport clip_radius",
+        defaults=(GOLDEN_BETA, 16, 512, None, None),
+    )
+):
+    """What to draw: the curve, the line and sample counts, the viewport
+    (xmin, xmax, ymin, ymax) or None for +-2 beta, and the clip radius or
+    None for 4 beta."""
+
+    __slots__ = ()
 
     def resolved_viewport(self) -> tuple:
         if self.viewport is not None:

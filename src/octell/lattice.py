@@ -6,7 +6,7 @@ integrals over the root gaps e1-e3 = beta, e1-e2 = 1/beta, e2-e3 = d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import _backend
@@ -14,17 +14,23 @@ from ._pycore import ThetaConstants, theta_constants
 from .params import CurveParams
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
     """Half-periods of the curve with parameter beta.
 
-    beta rides along so that the kernel can return the exact half-period
-    values -beta and -1/beta itself.
+    - omega1: the real half-period, > 0.
+    - omega2_im: the imaginary part of the purely imaginary half-period.
+    - beta: the curve parameter, > 1. It rides along so that the kernel can
+      return the exact half-period values -beta and -1/beta itself.
+
+    There is no `__slots__ = ()`: `theta` caches its value in the instance
+    `__dict__`, which `__setattr__` keeps closed to every other write.
     """
 
-    omega1: float      # real half-period, > 0
-    omega2_im: float   # imaginary part of the purely imaginary half-period
-    beta: float        # the curve parameter, > 1
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def omega2(self) -> complex:

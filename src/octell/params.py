@@ -8,26 +8,23 @@ e1 > e2 > e3 and the invariants g2, g3 of 4x^3 - g2 x - g3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # gamma4 formulas contain 1/sqrt(beta-1); below this floor they still compute
 # but lose digits, so catalog construction warns (construction never rejects
 # any beta > 1).
 BETA_FLOOR = 1.0 + 1e-6
 
+# the default beta of the CLI and the figure: the golden ratio squared
+GOLDEN_BETA = (3.0 + math.sqrt(5.0)) / 2.0
 
-@dataclass(frozen=True)
-class CurveParams:
-    beta: float
-    alpha: float
-    d: float
-    delta: float
-    e1: float
-    e2: float
-    e3: float
-    g2: float
-    g3: float
-    discriminant_sqrt: float
+
+class CurveParams(
+    namedtuple("CurveParams", "beta alpha d delta e1 e2 e3 g2 g3 discriminant_sqrt")
+):
+    """The scalar constants of one curve, all floats."""
+
+    __slots__ = ()
 
 
 def derive_params(beta: float) -> CurveParams:

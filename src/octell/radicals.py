@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import warnings
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .evaluate import POLE, NodeValue, conj
 from .params import BETA_FLOOR, CurveParams
@@ -42,27 +41,29 @@ def ascending_sequence(x: float) -> tuple[float, float, float, float]:
     return (1.0 - hi, 1.0 - lo, 1.0 + lo, 1.0 + hi)
 
 
-@dataclass(frozen=True)
-class RadicalCatalog:
-    gamma_minus_r: float            # 1 - 1/delta
-    gamma_plus_r: float             # 1 + 1/delta
-    gamma: complex                  # 1 - i*beta/delta, modulus beta
-    beta_seq: tuple[float, float, float, float]
-    delta_seq: tuple[float, float, float, float]
-    gamma02: float
-    gamma13: float
-    gamma01: float
-    gamma23: float
-    beta_pm: tuple[float, float]    # 1 -+ sqrt(1 - 1/beta)
-    delta_pm: tuple[float, float]   # 1 -+ (sqrt(1+1/beta) - sqrt(1-1/beta))/sqrt(2)
-    gamma0: complex                 # 1 - i*sqrt(beta-1)
-    gamma_lo: complex               # 1 - delta_minus*(1 + i*sqrt(delta-1))/delta
-    gamma_hi: complex               # 1 - delta_plus *(1 + i*sqrt(delta-1))/delta
-    gamma41: complex
-    gamma42: complex
-    gamma43: complex
-    gamma44: complex
-    b_const: float
+class RadicalCatalog(
+    namedtuple(
+        "RadicalCatalog",
+        "gamma_minus_r gamma_plus_r gamma beta_seq delta_seq gamma02 gamma13 "
+        "gamma01 gamma23 beta_pm delta_pm gamma0 gamma_lo gamma_hi gamma41 "
+        "gamma42 gamma43 gamma44 b_const",
+    )
+):
+    """The constants of the closed forms.
+
+    - gamma_minus_r, gamma_plus_r: 1 -+ 1/delta.
+    - gamma: 1 - i*beta/delta, of modulus beta.
+    - beta_seq, delta_seq: `ascending_sequence` of beta and of delta.
+    - gamma02, gamma13, gamma01, gamma23: real.
+    - beta_pm: 1 -+ sqrt(1 - 1/beta).
+    - delta_pm: 1 -+ (sqrt(1+1/beta) - sqrt(1-1/beta))/sqrt(2).
+    - gamma0: 1 - i*sqrt(beta-1).
+    - gamma_lo, gamma_hi: 1 - delta_pm[0 or 1]*(1 + i*sqrt(delta-1))/delta.
+    - gamma41..gamma44: the complex order-8 values of `gamma4`.
+    - b_const: the tribonacci constant.
+    """
+
+    __slots__ = ()
 
 
 def _warn_floor(beta: float) -> None:
@@ -164,15 +165,41 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     )
 
 
-# a complex catalog name X, as conj(X) or bare; every other name is real
-_NAME = r"gamma(?:0|_lo|_hi|4[1-4])?"
-_COMPLEX_NAME = re.compile(rf"conj\(({_NAME})\)|\b({_NAME})\b")
+# the complex catalog names; every other name is real
+_COMPLEX_NAMES = frozenset(
+    "gamma gamma0 gamma_lo gamma_hi gamma41 gamma42 gamma43 gamma44".split()
+)
+
+
+def _is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
 
 
 @functools.cache
 def _conj_symbol(sym: str) -> str:
     """The symbol of the conjugate value: conj(X) <-> X for complex names X."""
-    return _COMPLEX_NAME.sub(lambda mo: mo.group(1) or f"conj({mo.group(2)})", sym)
+    tokens = []   # the identifiers of sym and its single other characters
+    for ch in sym:
+        if tokens and _is_word(ch) and _is_word(tokens[-1][-1]):
+            tokens[-1] += ch
+        else:
+            tokens.append(ch)
+    out = []
+    i = 0
+    while i < len(tokens):
+        window = tokens[i : i + 4]   # conj ( X ) for a complex name X
+        if (
+            window[:2] == ["conj", "("]
+            and window[3:] == [")"]
+            and window[2] in _COMPLEX_NAMES
+        ):
+            out.append(window[2])
+            i += 4
+        else:
+            tok = tokens[i]
+            out.append(f"conj({tok})" if tok in _COMPLEX_NAMES else tok)
+            i += 1
+    return "".join(out)
 
 
 def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
@@ -192,13 +219,40 @@ def mirror_block(block: list, mirror) -> list:
     return rows + [[mirror(e) for e in row] for row in reversed(rows[:4])]
 
 
-@dataclass(frozen=True)
 class ClosedFormTable:
-    """81 grid entries; index (m, n) = column, row; POLE at the four corners."""
+    """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
-    beta: float
-    _values: tuple   # rows n = 0..8, each a 9-tuple over m
-    _symbols: tuple
+    An immutable record of beta and the rows n = 0..8 of values and of
+    symbols, each row a 9-tuple over m. It is not a tuple of its fields,
+    because iterating it yields the nodes.
+    """
+
+    __slots__ = ("beta", "_values", "_symbols")
+
+    def __init__(self, beta: float, _values: tuple, _symbols: tuple):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_values", _values)
+        object.__setattr__(self, "_symbols", _symbols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.beta, self._values, self._symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ClosedFormTable(beta=%r, _values=%r, _symbols=%r)" % self._key()
 
     def value(self, m: int, n: int) -> NodeValue:
         return self._values[n][m]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .evaluate import (
     POLE,
-    NodeValue,
     conj,
     essential_R,
     is_pole,
@@ -46,32 +45,29 @@ CONJ_TOL = 1e-10      # conjugate-node consistency
 INVERSION_TOL = 1e-6  # circle-inversion line mapping
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str
+class PropertyResult(namedtuple("PropertyResult", "name passed detail")):
+    """One named check: whether it passed (bool) and a line of detail (str)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodeCheck:
-    m: int
-    n: int
-    symbol: str
-    closed: NodeValue
-    numeric: NodeValue
-    abs_err: float
-    rel_err: float
+class NodeCheck(namedtuple("NodeCheck", "m n symbol closed numeric abs_err rel_err")):
+    """Node (m, n): its symbol, the closed-form and numeric values
+    (NodeValue) and their absolute and scaled errors (float)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    beta: float
-    tol: float
-    orientation_flipped: bool
-    per_node: tuple
-    property_results: tuple
-    verdict: str
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "beta tol orientation_flipped per_node property_results verdict",
+    )
+):
+    """The report of `verify_grid`: per_node is a tuple of NodeCheck,
+    property_results a tuple of PropertyResult, verdict "pass" or "fail"."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -32,6 +32,12 @@ def run_json(capsys, argv):
         ("1+i", 1 + 1j),
         ("1-i", 1 - 1j),
         (" 0.25-0.75i ", 0.25 - 0.75j),
+        ("5.", 5 + 0j),
+        ("+3", 3 + 0j),
+        ("+i", 1j),
+        ("1.+.5i", 1 + 0.5j),
+        ("007", 7 + 0j),
+        ("\t7.25\n", 7.25 + 0j),
     ],
 )
 def test_parse_complex(text, want):
@@ -39,7 +45,13 @@ def test_parse_complex(text, want):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1e3", "nan", "1+2j", "--2", "1.5i2", "i1", "1 + 2i", "abc"]
+    "bad",
+    [
+        "", "1e3", "nan", "1+2j", "--2", "1.5i2", "i1", "1 + 2i", "abc",
+        "1E3", "1e-3i", "2.5e+1", "1+2e3i", "1+", "1-", "+", "-", ".", ".i",
+        "1+ 2i", "1 +2i", "inf", "infi", "1+2i3", "1i+2", "ii", "1..5",
+        "1_000", "1+-2i", "+-1",
+    ],
 )
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError):

@@ -274,6 +274,45 @@ def test_table_symbols_conjugate_rows(p3):
         assert t.symbol(m, 0) == t.symbol(m, 8)
 
 
+# every symbol of the base block m, n <= 4 and the symbol of its conjugate
+CONJ_SYMBOLS = {
+    "inf": "inf",
+    "beta2*beta3": "beta2*beta3",
+    "1": "1",
+    "beta0*beta1": "beta0*beta1",
+    "0": "0",
+    "-beta*gamma23": "-beta*gamma23",
+    "conj(gamma44)": "gamma44",
+    "-beta*conj(gamma_hi)": "-beta*gamma_hi",
+    "conj(gamma43)": "gamma43",
+    "-beta*gamma02": "-beta*gamma02",
+    "-beta*gamma_plus_r": "-beta*gamma_plus_r",
+    "-beta_plus*conj(gamma0)": "-beta_plus*gamma0",
+    "-conj(gamma)/beta": "-gamma/beta",
+    "-beta_minus*conj(gamma0)": "-beta_minus*gamma0",
+    "-beta*gamma_minus_r": "-beta*gamma_minus_r",
+    "-beta*gamma01": "-beta*gamma01",
+    "conj(gamma41)": "gamma41",
+    "-beta*conj(gamma_lo)": "-beta*gamma_lo",
+    "conj(gamma42)": "gamma42",
+    "-beta*gamma13": "-beta*gamma13",
+    "-beta": "-beta",
+    "beta0*beta2": "beta0*beta2",
+    "-1": "-1",
+    "beta1*beta3": "beta1*beta3",
+    "-1/beta": "-1/beta",
+}
+
+
+def test_conj_symbol_frozen_table(p3):
+    t = grid_table(p3)
+    base = {t.symbol(m, n) for m in range(5) for n in range(5)}
+    assert base == set(CONJ_SYMBOLS)
+    for sym, want in CONJ_SYMBOLS.items():
+        assert _conj_symbol(sym) == want
+        assert _conj_symbol(want) == sym
+
+
 @given(betas)
 def test_table_unit_products(beta):
     # column pairs on the real row and the two center values multiply to 1
