@@ -2,11 +2,11 @@
 tables, numeric evaluation, cross-verification and figure rendering.
 
 Importing the package is lazy. `import octell` loads only the numeric kernel
-(`octell._backend` and `octell._pycore`); each other name of `__all__` is
-imported from its submodule the first time it is looked up, through the
-module `__getattr__` (PEP 562), and then bound here. `from octell import X`,
-`from octell import *` and `octell.X` all work as with eager imports, and
-`dir(octell)` lists `__all__`.
+`octell._backend`; each other name of `__all__` is imported from its
+submodule the first time it is looked up, through the module `__getattr__`
+(PEP 562), and then bound here. `from octell import X`, `from octell import *`
+and `octell.X` all work as with eager imports, and `dir(octell)` lists
+`__all__`.
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ import sys
 from . import __version__
 from ._backend import BACKEND
 from .evaluate import (
+    _nv_json,
     essential_R,
     is_pole,
     log_deriv_sq,
@@ -89,7 +90,8 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(obj, out: str | None) -> None:
     import json
 
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    # allow_nan=False: NaN and Infinity are not JSON, so they raise ValueError
+    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", out)
 
 
 def _cmd_params(args) -> int:
@@ -135,8 +137,6 @@ _EVAL = {"R": essential_R, "wp": wp, "wp_prime": wp_prime, "log_deriv_sq": log_d
 
 
 def _cmd_eval(args) -> int:
-    from .verify import _nv_json
-
     params = derive_params(args.beta)
     lat = compute_lattice(params)
     z = parse_complex(args.z)

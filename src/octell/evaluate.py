@@ -2,7 +2,7 @@
 
 R satisfies R'^2 = 4 R (R + beta) (R + 1/beta); its value at a lattice point
 is the distinguished POLE marker rather than an error. One kernel call per
-point (`_pycore.wp_pair`) reduces into the fundamental cell and returns R and
+point (`_backend.wp_pair`) reduces into the fundamental cell and returns R and
 R' themselves: POLE at lattice points, the exact values 0, -beta, -1/beta at
 the half-periods, and otherwise the theta quotient (DLMF §23.6(i), series
 from §20.2(i)); `wp` adds e1 = alpha. `POLE` is the kernel's marker,
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from . import _backend
-from ._pycore import POLE
+from ._backend import POLE
 from .lattice import Lattice
 from .params import CurveParams
 
@@ -23,6 +23,15 @@ NodeValue = complex | type(POLE)
 
 def is_pole(value: NodeValue) -> bool:
     return value is POLE
+
+
+def _nv_json(v):
+    """The JSON form of a node value: "pole", "inconclusive" for None, or re/im."""
+    if v is None:
+        return "inconclusive"
+    if v is POLE:
+        return "pole"
+    return {"re": v.real, "im": v.imag}
 
 
 def conj(v: NodeValue) -> NodeValue:

@@ -10,7 +10,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import _backend
-from ._pycore import ThetaConstants, theta_constants
+from ._backend import ThetaConstants, theta_constants
 from .params import CurveParams
 
 

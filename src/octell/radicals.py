@@ -8,9 +8,7 @@ double root of their inner radicand.
 """
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -34,8 +32,8 @@ _B = tribonacci_b()
 def ascending_sequence(x: float) -> tuple[float, float, float, float]:
     """(1-sqrt(x+1), 1-sqrt(1+1/x), 1+sqrt(1+1/x), 1+sqrt(x+1)), ascending for x > 1."""
     x = float(x)
-    if not x > 1.0:
-        raise ValueError(f"ascending_sequence needs x > 1, got {x!r}")
+    if not math.isfinite(x) or not x > 1.0:
+        raise ValueError(f"ascending_sequence needs a finite x > 1, got {x!r}")
     lo = math.sqrt(1.0 + 1.0 / x)
     hi = math.sqrt(x + 1.0)
     return (1.0 - hi, 1.0 - lo, 1.0 + lo, 1.0 + hi)
@@ -68,6 +66,8 @@ class RadicalCatalog(
 
 def _warn_floor(beta: float) -> None:
     if beta < BETA_FLOOR:
+        import warnings   # here, not at the top: only this branch uses it
+
         warnings.warn(
             f"beta = {beta} is within 1e-6 of 1; 1/sqrt(beta-1) radicals "
             "lose significant digits",
@@ -84,8 +84,8 @@ def branch_radicand(beta: float) -> float:
     right at the root.
     """
     beta = float(beta)
-    if not beta > 1.0:
-        raise ValueError(f"branch_radicand needs beta > 1, got {beta!r}")
+    if not math.isfinite(beta) or not beta > 1.0:
+        raise ValueError(f"branch_radicand needs a finite beta > 1, got {beta!r}")
     return beta / math.sqrt(beta - 1.0) - 1.0 / math.sqrt(beta + 1.0) - _SQRT2
 
 
@@ -165,58 +165,26 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     )
 
 
-# the complex catalog names; every other name is real
-_COMPLEX_NAMES = frozenset(
-    "gamma gamma0 gamma_lo gamma_hi gamma41 gamma42 gamma43 gamma44".split()
-)
-
-
-def _is_word(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-@functools.cache
-def _conj_symbol(sym: str) -> str:
-    """The symbol of the conjugate value: conj(X) <-> X for complex names X."""
-    tokens = []   # the identifiers of sym and its single other characters
-    for ch in sym:
-        if tokens and _is_word(ch) and _is_word(tokens[-1][-1]):
-            tokens[-1] += ch
-        else:
-            tokens.append(ch)
-    out = []
-    i = 0
-    while i < len(tokens):
-        window = tokens[i : i + 4]   # conj ( X ) for a complex name X
-        if (
-            window[:2] == ["conj", "("]
-            and window[3:] == [")"]
-            and window[2] in _COMPLEX_NAMES
-        ):
-            out.append(window[2])
-            i += 4
-        else:
-            tok = tokens[i]
-            out.append(f"conj({tok})" if tok in _COMPLEX_NAMES else tok)
-            i += 1
-    return "".join(out)
-
-
 def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
-    """The (value, symbol) entry of a mirrored node, which holds the conjugate."""
+    """The (value, symbol) entry of a mirrored node, which holds the conjugate.
+
+    Every complex name X in the quarter block is written conj(X), so the
+    conjugate's symbol is the symbol with each conj( ) removed.
+    """
     v, sym = entry
-    return conj(v), _conj_symbol(sym)
+    return conj(v), sym.replace("conj(", "").replace(")", "")
 
 
 def mirror_block(block: list, mirror) -> list:
     """The 9x9 grid from its 5x5 base block m, n <= 4 (either index order).
 
     R is even and R(conj z) = conj R(z): with e the entry of node (m, n),
-    nodes (8 - m, n) and (m, 8 - n) get mirror(e), node (8 - m, 8 - n)
-    mirror(mirror(e)).
+    nodes (8 - m, n) and (m, 8 - n) get mirror(e), node (8 - m, 8 - n) e.
     """
     rows = [[*row, *(mirror(e) for e in reversed(row[:4]))] for row in block]
-    return rows + [[mirror(e) for e in row] for row in reversed(rows[:4])]
+    return rows + [
+        [*(mirror(e) for e in row), *reversed(row[:4])] for row in reversed(block[:4])
+    ]
 
 
 class ClosedFormTable:

@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .evaluate import (
     POLE,
+    _nv_json,
     conj,
     essential_R,
     is_pole,
@@ -125,14 +126,6 @@ class VerificationReport(
                 for p in self.property_results
             ]),
         )
-
-
-def _nv_json(v):
-    if v is None:
-        return "inconclusive"
-    if is_pole(v):
-        return "pole"
-    return {"re": v.real, "im": v.imag}
 
 
 def _finite_or_none(x: float):

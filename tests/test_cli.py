@@ -75,6 +75,24 @@ def test_params_domain_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_params_finite_at_1e100(capsys):
+    code, obj = run_json(capsys, ["params", "--beta", "1e100"])
+    assert code == 0
+    numbers = [v for k, v in obj.items() if k not in ("schema", "backend")]
+    assert len(numbers) == 12
+    assert all(math.isfinite(v) for v in numbers)
+
+
+@pytest.mark.parametrize("beta", ["1e150", "1e300"])
+def test_params_overflow_is_domain_error(capsys, beta):
+    # params builds no theta constants, but g3 overflows to -inf from
+    # beta ~ 8.47e102 and g2 is NaN from ~4.02e154: neither is JSON
+    assert run(["params", "--beta", beta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("octell: error: ")
+
+
 def test_grid_json(capsys):
     code, obj = run_json(capsys, ["grid", "--beta", "3"])
     assert code == 0
@@ -195,8 +213,6 @@ def test_figure_to_file(tmp_path, capsys):
 def test_beta_past_the_nome_underflow_is_domain_error(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("octell: error: beta = 1e+300")
-    # params builds no theta constants and still answers
-    assert run(["params", "--beta", "1e300"]) == 0
 
 
 def test_figure_bad_config(capsys):

@@ -17,7 +17,7 @@ from octell import (
     wp_prime,
     wp_with_prime,
 )
-from octell import _pycore
+from octell import _backend
 from octell.evaluate import conj, shift_omega1, shift_omega2
 from conftest import SAMPLE_BETAS, node_z
 
@@ -69,11 +69,11 @@ def test_kernel_returns_values_not_flags(beta):
     w1, w2 = lat.omega1, lat.omega2_im
     assert lat.beta == par.beta
     at = {
-        "node": _pycore.wp_pair(complex(2.0 * w1, -2.0 * w2), lat.theta),
-        "w1": _pycore.wp_pair(complex(w1, 0.0), lat.theta),
-        "w2": _pycore.wp_pair(complex(0.0, w2), lat.theta),
-        "w1+w2": _pycore.wp_pair(complex(w1, w2), lat.theta),
-        "cell": _pycore.wp_pair(complex(0.3 * w1, 0.7 * w2), lat.theta),
+        "node": _backend.wp_pair(complex(2.0 * w1, -2.0 * w2), lat.theta),
+        "w1": _backend.wp_pair(complex(w1, 0.0), lat.theta),
+        "w2": _backend.wp_pair(complex(0.0, w2), lat.theta),
+        "w1+w2": _backend.wp_pair(complex(w1, w2), lat.theta),
+        "cell": _backend.wp_pair(complex(0.3 * w1, 0.7 * w2), lat.theta),
     }
     assert all(type(v) is tuple and len(v) == 2 for v in at.values())
     assert at["node"][0] is POLE and at["node"][1] is POLE

@@ -39,15 +39,24 @@ def test_benchmark_setup_imports_only_what_it_uses():
     loaded = set(_fresh(_setup_code()))
     unwanted = {
         "argparse", "dataclasses", "inspect", "json", "pathlib", "re",
-        "octell.verify", "octell.figure",
+        "warnings", "octell.verify", "octell.figure",
     }
     assert "octell.radicals" in loaded
     assert not loaded & unwanted
 
 
+def test_eval_does_not_load_the_verifier():
+    loaded = set(_fresh(
+        "import octell.cli\n"
+        "assert octell.cli.run(['eval', '--beta', '3', '--z', '0.3+0.2i']) == 0"
+    ))
+    assert "octell.evaluate" in loaded
+    assert "octell.verify" not in loaded
+
+
 def test_import_octell_loads_only_the_kernel():
     loaded = {m for m in _fresh("import octell") if m.startswith("octell.")}
-    assert loaded == {"octell._backend", "octell._pycore"}
+    assert loaded == {"octell._backend"}
 
 
 def test_star_import_binds_all():

@@ -16,7 +16,6 @@ from octell import (
     is_pole,
     tribonacci_b,
 )
-from octell.radicals import _conj_symbol
 
 betas = st.floats(min_value=1.001, max_value=50.0)
 
@@ -71,7 +70,7 @@ def test_ascending_sequence_pair_products(x):
     assert s[1] * s[2] == pytest.approx(-1.0 / x, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.3, -2.0])
+@pytest.mark.parametrize("bad", [1.0, 0.3, -2.0, math.inf])
 def test_ascending_sequence_domain(bad):
     with pytest.raises(ValueError):
         ascending_sequence(bad)
@@ -175,8 +174,9 @@ def test_branch_radicand_double_root():
     assert abs(branch_radicand(b)) <= 1e-12
     assert branch_radicand(b - 0.01) > 0.0
     assert branch_radicand(b + 0.01) > 0.0
-    with pytest.raises(ValueError):
-        branch_radicand(1.0)
+    for bad in (1.0, math.inf):
+        with pytest.raises(ValueError):
+            branch_radicand(bad)
 
 
 def test_branch_radicand_minimum_at_b():
@@ -221,7 +221,9 @@ def test_table_fixed_entries(p3):
 
 def _assert_mirrored(t):
     # nodes (8 - m, n) and (m, 8 - n) hold the conjugate of node (m, n), and
-    # their symbols the conj-symbol of its symbol
+    # their symbols the frozen conjugate symbol of its symbol, in either
+    # direction; node (8 - m, 8 - n) holds node (m, n) itself
+    conj_of = {**CONJ_SYMBOLS, **{v: k for k, v in CONJ_SYMBOLS.items()}}
     for n in range(9):
         for m in range(9):
             a = t.value(m, n)
@@ -231,7 +233,9 @@ def _assert_mirrored(t):
                     assert is_pole(b)
                 else:
                     assert a == b.conjugate()
-                assert t.symbol(mm, nn) == _conj_symbol(t.symbol(m, n))
+                assert t.symbol(mm, nn) == conj_of[t.symbol(m, n)]
+            assert t.symbol(8 - m, 8 - n) == t.symbol(m, n)
+            assert t.value(8 - m, 8 - n) == a
 
 
 def test_table_conjugate_rows(p3):
@@ -305,12 +309,18 @@ CONJ_SYMBOLS = {
 
 
 def test_conj_symbol_frozen_table(p3):
+    # the base block holds the frozen symbols; a node mirrored across one
+    # midline holds the frozen conjugate symbol, and mirroring that node
+    # across the other midline gives the base symbol back
     t = grid_table(p3)
-    base = {t.symbol(m, n) for m in range(5) for n in range(5)}
-    assert base == set(CONJ_SYMBOLS)
-    for sym, want in CONJ_SYMBOLS.items():
-        assert _conj_symbol(sym) == want
-        assert _conj_symbol(want) == sym
+    back = {want: sym for sym, want in CONJ_SYMBOLS.items()}
+    assert len(back) == len(CONJ_SYMBOLS)
+    assert {t.symbol(m, n) for m in range(5) for n in range(5)} == set(CONJ_SYMBOLS)
+    for m in range(5):
+        for n in range(5):
+            sym = t.symbol(m, n)
+            assert t.symbol(8 - m, n) == t.symbol(m, 8 - n) == CONJ_SYMBOLS[sym]
+            assert back[t.symbol(8 - m, n)] == t.symbol(8 - m, 8 - n) == sym
 
 
 @given(betas)
