@@ -34,6 +34,13 @@ the quarter cell, and the signs are restored by exact conjugation and
 negation, which keeps Schwarz reflection and parity bit-exact. On the axes
 and the cell edges, where R is real, its imaginary part is set to exactly 0.
 
+The reduction into the cell |Re z| <= w1, |Im z| <= w2i is `math.remainder`
+by each double period, which is exact: m periods out, what is left against
+the true lattice is m (2 w1 - fl(2 w1)) plus the AGM's own error in w1.
+remainder rounds ties to even, so a point on a cell edge reduces to x = -w1
+or +w1 by the parity of its period count; the fold takes |x| and the sign
+restore uses only that R is even and periodic, so both give the same R, R'.
+
 `wp_pair` returns the answer itself: (POLE, POLE) at lattice points and the
 exact root values R = 0, -beta, -1/beta (with R' = 0) at the half-periods
 omega1, omega2, omega1 + omega2, the paper's seeds for every eighth-lattice
@@ -123,18 +130,17 @@ def wp_pair(z: complex, theta: ThetaConstants):
     """(R(z), R'(z)) with R = wp - e1, on the lattice of `theta`.
 
     Both are POLE at lattice points; at the half-periods omega1, omega2 and
-    omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0.
+    omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0. z is
+    reduced into the cell exactly, so these snaps hold far from the origin.
     """
     w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
-    per_min = 2.0 * w1 if w1 <= w2i else 2.0 * w2i
-    eps = 1e-12 * per_min
-    # reduce to the cell, nearest multiple of each period with halves toward zero
-    f = z.real / (2.0 * w1)
-    m = math.ceil(abs(f) - 0.5)
-    x = z.real - 2.0 * w1 * (m if f >= 0.0 else -m)
-    f = z.imag / (2.0 * w2i)
-    m = math.ceil(abs(f) - 0.5)
-    y = z.imag - 2.0 * w2i * (m if f >= 0.0 else -m)
+    # snap radius: 1e-12 of the longer period, above the reduction's error
+    # m (2 w - fl(2 w)) plus the rounding of z itself up to about 2,000 periods
+    eps = 2e-12 * (w2i if w1 <= w2i else w1)
+    # reduce to the cell, exactly: z minus the nearest multiple of each double
+    # period (ties to even; an edge point lands on +w or -w, and R, R' agree)
+    x = math.remainder(z.real, 2.0 * w1)
+    y = math.remainder(z.imag, 2.0 * w2i)
     if math.hypot(x, y) <= eps:
         return POLE, POLE
     gx = w1 - abs(x)   # gap to the vertical cell edge

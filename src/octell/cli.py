@@ -23,7 +23,7 @@ from .lattice import compute_lattice
 from .params import GOLDEN_BETA, derive_params
 from .radicals import grid_table
 
-# argparse, json, re and the verify and figure modules are imported by the
+# argparse, json and the verify and figure modules are imported by the
 # code that uses them: importing this module, or building one grid through
 # it, loads none of them.
 
@@ -43,40 +43,16 @@ def __getattr__(name: str):
     return value
 
 
-# decimal literals only: "1.5", "-2", "0.5+1.25i", "3-0.5i", "2i", "-i", "i"
-_COMPLEX_PATTERN = r"""^\s*
-    (?:
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+))
-        (?:(?P<im1>[+-](?:\d+\.?\d*|\.\d+)?)i)?
-        |
-        (?P<im2>[+-]?(?:\d+\.?\d*|\.\d+)?)i
-    )
-    \s*$"""
-
-
-@functools.cache
-def _complex_re():
-    import re
-
-    return re.compile(_COMPLEX_PATTERN, re.VERBOSE)
-
-
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'bi', or 'a+bi' with plain decimal parts (no exponents)."""
-    m = _complex_re().match(text)
-    if not m:
-        raise ValueError(f"not a complex literal: {text!r}")
-    re_part = float(m.group("re") or 0.0)
-    im_text = m.group("im1") if m.group("im1") is not None else m.group("im2")
-    if im_text is None:
-        im_part = 0.0
-    elif im_text in ("", "+"):
-        im_part = 1.0
-    elif im_text == "-":
-        im_part = -1.0
-    else:
-        im_part = float(im_text)
-    return complex(re_part, im_part)
+    """Parse 'a', 'bi', or 'a+bi' with plain decimal parts (no exponents):
+    "1.5", "-2", "0.5+1.25i", "3-0.5i", "2i", "-i", "i"."""
+    body = text.strip()
+    if all(c.isdecimal() or c in ".+-i" for c in body):
+        try:
+            return complex(body.replace("i", "j"))
+        except ValueError:
+            pass
+    raise ValueError(f"not a complex literal: {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -6,8 +6,9 @@ point (`_backend.wp_pair`) reduces into the fundamental cell and returns R and
 R' themselves: POLE at lattice points, the exact values 0, -beta, -1/beta at
 the half-periods, and otherwise the theta quotient (DLMF §23.6(i), series
 from §20.2(i)); `wp` adds e1 = alpha. `POLE` is the kernel's marker,
-re-exported here. `wp_lattice_sum_oracle` is the slow independent
-cross-check.
+re-exported here. `conj` and `mirror_block` are the one conjugation and the
+one quarter-to-grid mirror of the closed-form table, the half-argument oracle
+and the figure. `wp_lattice_sum_oracle` is the slow independent cross-check.
 """
 from __future__ import annotations
 
@@ -37,6 +38,22 @@ def _nv_json(v):
 def conj(v: NodeValue) -> NodeValue:
     """R(conj z) from v = R(z): the conjugate with a zero part +0.0, POLE kept."""
     return v if v is POLE else v.conjugate() + 0.0
+
+
+def mirror_block(block: list, image: list, rows: int = 9, cols: int = 9) -> list:
+    """The rows x cols grid from its quarter block, image its entry-wise mirror.
+
+    R is even and R(conj z) = conj R(z): with e the entry at (i, j) and e' its
+    image, (rows - 1 - i, j) and (i, cols - 1 - j) get e', and
+    (rows - 1 - i, cols - 1 - j) gets e. The block holds the first
+    rows - rows // 2 rows and cols - cols // 2 entries of each.
+    """
+    r = rows - len(block)
+    c = cols - len(block[0])
+    pairs = list(zip(block, image))
+    return [[*b, *reversed(m[:c])] for b, m in pairs] + [
+        [*m, *reversed(b[:c])] for b, m in reversed(pairs[:r])
+    ]
 
 
 def shift_omega1(v: NodeValue) -> NodeValue:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .evaluate import POLE, conj, essential_R, shift_omega1, shift_omega2
+from .evaluate import POLE, conj, essential_R, mirror_block, shift_omega1, shift_omega2
 from .lattice import compute_lattice
 from .params import GOLDEN_BETA, derive_params
 
@@ -155,14 +155,10 @@ def render_figure(config: FigureConfig | None = None) -> str:
         # quarter k <= L//2, j <= S//2 is computed (by `_quarter`, from its
         # first sixteenth of the cell) and printed once, and the rest reuse
         # its text with y's sign flipped.
-        back = S - S // 2  # samples j > S//2 print the conjugate of S - j
-        front, mirror = [], []
-        for vals in _quarter(point, L, S, fill_sample, fill_line, lat, params):
-            pts, conj_pts = _printed(vals, clip)
-            front.append(pts + conj_pts[back - 1 :: -1])
-            mirror.append(conj_pts + pts[back - 1 :: -1])
-        lines = front + mirror[L - L // 2 - 1 :: -1]
-        return [f'<g data-line="{k}">{_polylines(pts)}</g>' for k, pts in enumerate(lines)]
+        quarter = _quarter(point, L, S, fill_sample, fill_line, lat, params)
+        pts, conj_pts = zip(*(_printed(vals, clip) for vals in quarter))
+        lines = mirror_block(pts, conj_pts, L + 1, S + 1)
+        return [f'<g data-line="{k}">{_polylines(line)}</g>' for k, line in enumerate(lines)]
 
     # k / L * per puts the middle line and sample exactly on the cell edge;
     # red samples run along omega1 and red lines step along omega2, blue

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .evaluate import POLE, NodeValue, conj
+from .evaluate import POLE, NodeValue, conj, mirror_block
 from .params import BETA_FLOOR, CurveParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -175,18 +175,6 @@ def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
     return conj(v), sym.replace("conj(", "").replace(")", "")
 
 
-def mirror_block(block: list, mirror) -> list:
-    """The 9x9 grid from its 5x5 base block m, n <= 4 (either index order).
-
-    R is even and R(conj z) = conj R(z): with e the entry of node (m, n),
-    nodes (8 - m, n) and (m, 8 - n) get mirror(e), node (8 - m, 8 - n) e.
-    """
-    rows = [[*row, *(mirror(e) for e in reversed(row[:4]))] for row in block]
-    return rows + [
-        [*(mirror(e) for e in row), *reversed(row[:4])] for row in reversed(block[:4])
-    ]
-
-
 class ClosedFormTable:
     """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
@@ -279,7 +267,7 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
             (complex(-1.0 / beta), "-1/beta"),
         ],
     ]
-    rows = mirror_block(rows, _mirror)
+    rows = mirror_block(rows, [[_mirror(e) for e in row] for row in rows])
     values = tuple(tuple(v for v, _ in row) for row in rows)
     symbols = tuple(tuple(s for _, s in row) for row in rows)
     return ClosedFormTable(beta=beta, _values=values, _symbols=symbols)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -33,12 +34,13 @@ from .evaluate import (
     essential_R,
     is_pole,
     log_deriv_sq,
+    mirror_block,
     shift_omega1,
     shift_omega2,
 )
 from .lattice import Lattice, compute_lattice
 from .params import CurveParams, derive_params
-from .radicals import ClosedFormTable, grid_table, mirror_block
+from .radicals import ClosedFormTable, grid_table
 
 TRIPLE_TOL = 1e-8     # pairwise source agreement
 AXES_TOL = 1e-9       # oracle vs closed forms on the grid axes
@@ -265,8 +267,9 @@ def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
     return best if best_margin > _GATE else None
 
 
-def _conj_or_none(v):
-    return None if v is None else conj(v)
+def _mirror_or_none(B):
+    """The 9x9 grid from the base block B; an inconclusive None mirrors to None."""
+    return mirror_block(B, [[None if v is None else conj(v) for v in row] for row in B])
 
 
 # the halving order: quarter-period nodes from the mirrored seeds, then the
@@ -286,11 +289,11 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     # exact half-period seeds
     B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
     for nodes in (_QUARTER_NODES, _ODD_NODES):
-        grid = mirror_block(B, _conj_or_none)
+        grid = _mirror_or_none(B)
         for m, n in nodes:
             src = grid[2 * m][2 * n]
             B[m][n] = None if src is None else _halve_branch(src, m, n, params)
-    return mirror_block(B, _conj_or_none)
+    return _mirror_or_none(B)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +515,8 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
 
 
 def sweep(beta_min: float, beta_max: float, steps: int, tol: float = 1e-9):
-    """verify_grid over an inclusive linspace of beta values."""
-    steps = int(steps)
+    """verify_grid over an inclusive linspace of beta values; steps is an int."""
+    steps = operator.index(steps)   # 2.9 or "3" raises TypeError, not truncated
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not beta_min > 1.0 or not beta_max >= beta_min:

@@ -3,6 +3,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from octell import backend, compute_lattice, derive_params, essential_R
 from octell.cli import _build_parser, parse_complex, run
@@ -38,10 +39,23 @@ def run_json(capsys, argv):
         ("1.+.5i", 1 + 0.5j),
         ("007", 7 + 0j),
         ("\t7.25\n", 7.25 + 0j),
+        # any Unicode decimal digit and whitespace, as complex() takes them
+        ("\u0663", 3 + 0j),
+        ("1.\u0665i", 1.5j),
+        ("\u2003 2i \u3000", 2j),
     ],
 )
 def test_parse_complex(text, want):
     assert parse_complex(text) == want
+
+
+# plain decimal parts: "7", "7.", "7.25", ".25"
+decimals = st.from_regex(r"\A([0-9]{1,6}(\.[0-9]{0,6})?|\.[0-9]{1,6})\Z")
+
+
+@given(decimals, decimals)
+def test_parse_complex_decimal_parts(a, b):
+    assert parse_complex(f"{a}+{b}i") == complex(float(a), float(b))
 
 
 @pytest.mark.parametrize(
@@ -50,7 +64,7 @@ def test_parse_complex(text, want):
         "", "1e3", "nan", "1+2j", "--2", "1.5i2", "i1", "1 + 2i", "abc",
         "1E3", "1e-3i", "2.5e+1", "1+2e3i", "1+", "1-", "+", "-", ".", ".i",
         "1+ 2i", "1 +2i", "inf", "infi", "1+2i3", "1i+2", "ii", "1..5",
-        "1_000", "1+-2i", "+-1",
+        "1_000", "1+-2i", "+-1", "1j", "(1+2i)", "1+2I", "0x1", "1e5i",
     ],
 )
 def test_parse_complex_rejects(bad):

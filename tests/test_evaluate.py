@@ -19,7 +19,7 @@ from octell import (
 )
 from octell import _backend
 from octell.evaluate import conj, shift_omega1, shift_omega2
-from conftest import SAMPLE_BETAS, node_z
+from conftest import GOLDEN_BETA, SAMPLE_BETAS, node_z
 
 # beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
 betas = st.floats(min_value=-6.0, max_value=12.0).map(lambda x: 1.0 + 10.0 ** x)
@@ -242,6 +242,56 @@ def test_matches_mpmath_over_the_cell(beta):
         dr = wp_prime(z, lat, p)
         worst = max(worst, abs(r - ref) / max(1.0, abs(ref)), abs(dr - dref) / max(1.0, abs(dref)))
     assert worst <= 1e-13, f"worst scaled error {worst:.3g} at beta={beta!r}"
+
+
+# --- exact snaps far from the origin ----------------------------------------
+
+SNAP_BETAS = (GOLDEN_BETA, 3.0, 1.2, 1.001, 50.0, 1e3, 1e6)
+SNAP_SPAN = 1000   # periods out, as far as the benchmark's eval workload goes
+
+
+def mpmath_points(beta, nodes):
+    """The floats nearest x*omega1 + i*y*omega2 for (x, y) in nodes, from the
+    half-periods K(m)/sqrt(beta), K(1 - m)/sqrt(beta), m = 1 - 1/beta^2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        m = 1 - 1 / (b * b)
+        w1, w2 = mp.ellipk(m) / mp.sqrt(b), mp.ellipk(1 - m) / mp.sqrt(b)
+        return [complex(float(x * w1), float(y * w2)) for x, y in nodes]
+
+
+@pytest.mark.parametrize("beta", SNAP_BETAS)
+def test_snaps_are_exact_far_from_the_origin(beta):
+    # every lattice node within SNAP_SPAN periods is POLE, and every
+    # half-period node its exact root: seeded nodes off the axes, and every
+    # node on them, where +-(2k+1) omega is a tie of the reduction that lands
+    # on +omega or -omega by the parity of k
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    rng = random.Random(14)
+    far = 2 * SNAP_SPAN
+    seeded = [(sx * far, sy * far) for sx in (1, -1) for sy in (1, -1)]
+    seeded += [
+        (2 * rng.randint(-SNAP_SPAN, SNAP_SPAN), 2 * rng.randint(-SNAP_SPAN, SNAP_SPAN))
+        for _ in range(200)
+    ]
+    even, odd = range(-far, far + 1, 2), range(1 - far, far, 2)
+    lattice = seeded + [(k, 0) for k in even] + [(0, k) for k in even]
+    roots = {(1, 0): 0j, (0, 1): complex(-beta), (1, 1): complex(-1.0 / beta)}
+    half = [(a + dx, b + dy) for a, b in seeded for dx, dy in roots]
+    half += [(k, 0) for k in odd] + [(0, k) for k in odd]
+    misses = [
+        node
+        for node, z in zip(lattice, mpmath_points(beta, lattice))
+        if essential_R(z, lat, p) is not POLE
+    ]
+    misses += [
+        node
+        for node, z in zip(half, mpmath_points(beta, half))
+        if essential_R(z, lat, p) != roots[node[0] % 2, node[1] % 2]
+    ]
+    assert misses == []
 
 
 # --- the kernel's range: beta up to about 1.67e153 ---------------------------

@@ -454,3 +454,10 @@ def test_sweep_single_step():
 def test_sweep_domain(args):
     with pytest.raises(ValueError):
         sweep(*args)
+
+
+@pytest.mark.parametrize("steps", [2.9, "3", math.inf])
+def test_sweep_steps_must_be_an_int(steps):
+    # int() would run 2 betas for 2.9, 3 for "3" and overflow on inf
+    with pytest.raises(TypeError):
+        sweep(1.5, 2.0, steps)
