@@ -1,10 +1,20 @@
-"""Numeric kernels: AGM, joint R/R' evaluation, lattice sum.
+"""Numeric kernels: AGM, R and R' evaluation, lattice sum.
 
 There is one implementation, in pure Python; `BACKEND` names it in reports.
-`evaluate` and `lattice` look `wp_pair`, `agm` and `lattice_sum` up on this
-module at call time, which gives profilers one place to wrap them.
+`evaluate` and `lattice` look `wp_values`, `wp_pair`, `agm` and `lattice_sum`
+up on this module at call time, which gives profilers one place to wrap them.
 
-`wp_pair` evaluates R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
+R has two entries, chosen by whether the caller needs R':
+- `wp_values(points, theta)` returns R alone at a list of points, in one
+  loop with the lattice set-up done once. `essential_R` (one point),
+  `essential_R_values` (the figure's quarter lines, verify's node columns
+  and inversion lines) and the lattice-sum oracle's pole test call it.
+- `wp_pair(z, theta)` returns (R, R') at one point, for `wp_with_prime`,
+  `wp_prime` and `log_deriv_sq`.
+Both reduce, snap and restore signs the same way, through one `_snap` rule,
+and `wp_values` gives `wp_pair`'s R bit for bit.
+
+The kernels evaluate R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
 R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
 
     wp(z) - e1 = (pi/2w)^2 (theta3(0) theta4(0) theta2(v) / theta1(v))^2,
@@ -41,10 +51,10 @@ remainder rounds ties to even, so a point on a cell edge reduces to x = -w1
 or +w1 by the parity of its period count; the fold takes |x| and the sign
 restore uses only that R is even and periodic, so both give the same R, R'.
 
-`wp_pair` returns the answer itself: (POLE, POLE) at lattice points and the
-exact root values R = 0, -beta, -1/beta (with R' = 0) at the half-periods
-omega1, omega2, omega1 + omega2, the paper's seeds for every eighth-lattice
-value.
+The kernels return the answer itself: R = POLE (and R' = POLE) at lattice
+points and the exact root values R = 0, -beta, -1/beta (with R' = 0) at the
+half-periods omega1, omega2, omega1 + omega2, the paper's seeds for every
+eighth-lattice value.
 """
 from __future__ import annotations
 
@@ -79,7 +89,7 @@ def agm(a: float, b: float) -> float:
 class ThetaConstants(
     namedtuple("ThetaConstants", "w1 w2i beta rotated k2 q inv_sqrt_q t n")
 ):
-    """Per-lattice constants of `wp_pair`.
+    """Per-lattice constants of `wp_values` and `wp_pair`.
 
     - w1, w2i: the half-periods.
     - beta: the curve parameter, for the exact values -beta and -1/beta at
@@ -102,7 +112,7 @@ class ThetaConstants(
 
 
 def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
-    """The constants `wp_pair` needs for the lattice (2*w1, 2i*w2i)."""
+    """The constants the kernels need for the lattice (2*w1, 2i*w2i)."""
     rotated = w1 > w2i
     short, long_ = (w2i, w1) if rotated else (w1, w2i)
     q = math.exp(-math.pi * long_ / short)
@@ -126,6 +136,25 @@ def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
     )
 
 
+def _snap(x: float, y: float, gx: float, gy: float, eps: float, beta: float):
+    """R at the lattice point or half-period within eps of the reduced point
+    x + iy, exactly: POLE, 0, -beta or -1/beta; None when there is none.
+
+    gx, gy are the gaps w1 - |x|, w2i - |y| to the cell edges. A snap needs
+    (|x| <= eps or gx <= eps) and (|y| <= eps or gy <= eps), which the kernels
+    test first: hypot(a, b) >= |a|, |b|.
+    """
+    if math.hypot(x, y) <= eps:
+        return POLE
+    if math.hypot(gx, y) <= eps:
+        return 0j
+    if math.hypot(x, gy) <= eps:
+        return complex(-beta)
+    if math.hypot(gx, gy) <= eps:
+        return complex(-1.0 / beta)
+    return None
+
+
 def wp_pair(z: complex, theta: ThetaConstants):
     """(R(z), R'(z)) with R = wp - e1, on the lattice of `theta`.
 
@@ -141,16 +170,12 @@ def wp_pair(z: complex, theta: ThetaConstants):
     # period (ties to even; an edge point lands on +w or -w, and R, R' agree)
     x = math.remainder(z.real, 2.0 * w1)
     y = math.remainder(z.imag, 2.0 * w2i)
-    if math.hypot(x, y) <= eps:
-        return POLE, POLE
     gx = w1 - abs(x)   # gap to the vertical cell edge
     gy = w2i - abs(y)
-    if math.hypot(gx, y) <= eps:
-        return 0j, 0j
-    if math.hypot(x, gy) <= eps:
-        return complex(-beta), 0j
-    if math.hypot(gx, gy) <= eps:
-        return complex(-1.0 / beta), 0j
+    if (abs(x) <= eps or gx <= eps) and (abs(y) <= eps or gy <= eps):
+        v = _snap(x, y, gx, gy, eps, beta)
+        if v is not None:
+            return v, (POLE if v is POLE else 0j)
 
     # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
     if rotated:
@@ -217,6 +242,64 @@ def wp_pair(z: complex, theta: ThetaConstants):
     elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
         r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
     return r, dr
+
+
+def wp_values(points, theta: ThetaConstants) -> list:
+    """[R(z) for z in points] on the lattice of `theta`, in one loop.
+
+    Bit for bit `wp_pair(z, theta)[0]`: the same reduction, snaps, sign
+    restore and axis zeroing, and the R half of the same series in the same
+    order, without R'. The lattice set-up is done once per call.
+    """
+    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    c0, c1, c2, c3, d1, d2, d3 = t_coeffs
+    n0, n1, n2, n3, m1, m2, m3 = n_coeffs
+    eps = 2e-12 * (w2i if w1 <= w2i else w1)
+    px, py = 2.0 * w1, 2.0 * w2i
+    remainder, exp, expm1, cos, sin = math.remainder, math.exp, math.expm1, math.cos, math.sin
+    out = []
+    for z in points:
+        x = remainder(z.real, px)
+        y = remainder(z.imag, py)
+        ax, ay = abs(x), abs(y)
+        gx = w1 - ax
+        gy = w2i - ay
+        if (ax <= eps or gx <= eps) and (ay <= eps or gy <= eps):
+            v = _snap(x, y, gx, gy, eps, beta)
+            if v is not None:
+                out.append(v)
+                continue
+        if rotated:
+            s, t = -k2 * ax, -k2 * ay
+        else:
+            s, t = -k2 * ay, k2 * ax
+        e = exp(s)
+        c = cos(t)
+        sn = sin(t)
+        h = sin(0.5 * t)
+        b = complex(e * c, e * sn)
+        bm1 = complex(expm1(s) * c - 2.0 * h * h, e * sn)
+        qe = q / e
+        a = complex(qe * c, -qe * sn)
+        b2 = b * b
+        a2 = a * a
+        b3 = b2 * b
+        a3 = a2 * a
+        even = c0 + c2 * b2 + d2 * a2
+        odd = c1 * b + d1 * a + c3 * b3 + d3 * a3
+        den = bm1 * (even + odd)
+        if rotated:
+            u = (n0 + n2 * b2 + m2 * a2 + (n1 * b + m1 * a + n3 * b3 + m3 * a3)) / den
+            r = inv_sqrt_q * b * u * u
+        else:
+            u = (b + 1.0) * (even - odd) / den
+            r = -u * u
+        if (x < 0.0) != (y < 0.0):
+            r = r.conjugate()
+        if x == 0.0 or y == 0.0 or gx == 0.0 or gy == 0.0:
+            r = complex(r.real, 0.0)
+        out.append(r)
+    return out
 
 
 def lattice_sum(z: complex, w1: float, w2i: float, cutoff: int) -> complex:

@@ -1,13 +1,16 @@
 """Evaluation of R = wp - alpha, wp and wp'.
 
 R satisfies R'^2 = 4 R (R + beta) (R + 1/beta); its value at a lattice point
-is the distinguished POLE marker rather than an error. One kernel call per
-point (`_backend.wp_pair`) reduces into the fundamental cell and returns R and
-R' themselves: POLE at lattice points, the exact values 0, -beta, -1/beta at
-the half-periods, and otherwise the theta quotient (DLMF §23.6(i), series
-from §20.2(i)); `wp` adds e1 = alpha. `POLE` is the kernel's marker,
-re-exported here. `conj` and `mirror_block` are the one conjugation and the
-one quarter-to-grid mirror of the closed-form table, the half-argument oracle
+is the distinguished POLE marker rather than an error. The kernel reduces
+into the fundamental cell and returns R itself: POLE at lattice points, the
+exact values 0, -beta, -1/beta at the half-periods, and otherwise the theta
+quotient (DLMF §23.6(i), series from §20.2(i)). `essential_R` and the list
+form `essential_R_values` need R alone and make one `_backend.wp_values`
+call, for one point or a whole list; `wp_with_prime`, `wp_prime` and
+`log_deriv_sq` need R' too and make one `_backend.wp_pair` call per point.
+`wp` adds e1 = alpha. `POLE` is the kernel's marker, re-exported here.
+`conj` and `mirror_block` are the one conjugation and the one
+quarter-to-grid mirror of the closed-form table, the half-argument oracle
 and the figure. `wp_lattice_sum_oracle` is the slow independent cross-check.
 """
 from __future__ import annotations
@@ -115,7 +118,19 @@ def wp_prime(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
 
 def essential_R(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
     """R(z) = wp(z) - alpha, or POLE at lattice points."""
-    return _R_with_prime(z, lat)[0]
+    return _backend.wp_values((_check_z(z),), lat.theta)[0]
+
+
+def essential_R_values(points, lat: Lattice) -> list:
+    """R at each of points, as `essential_R` gives it, from one kernel call."""
+    points = list(map(complex, points))
+    # a non-finite point makes the sum non-finite; so can an overflow, and
+    # then the check point by point finds nothing
+    total = sum(points, 0j)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        for z in points:
+            _check_z(z)
+    return _backend.wp_values(points, lat.theta)
 
 
 def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
@@ -135,6 +150,6 @@ def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
     cutoff = int(cutoff)
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
-    if _backend.wp_pair(z, lat.theta)[0] is POLE:
+    if _backend.wp_values((z,), lat.theta)[0] is POLE:
         raise ValueError("z is (numerically) a lattice point")
     return _backend.lattice_sum(z, lat.omega1, lat.omega2_im, cutoff)

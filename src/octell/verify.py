@@ -32,7 +32,7 @@ from .evaluate import (
     _nv_json,
     conj,
     essential_R,
-    is_pole,
+    essential_R_values,
     log_deriv_sq,
     mirror_block,
     shift_omega1,
@@ -179,7 +179,7 @@ def _finite_text(x: float) -> str:
 def _nv_text(v) -> str:
     if v is None:
         return '"inconclusive"'
-    if is_pole(v):
+    if v is POLE:
         return '"pole"'
     return _VALUE % (_num(v.real), _num(v.imag))
 
@@ -205,7 +205,7 @@ def _worst_check(
     errs = [
         _scaled_err(a, b)
         for a, b in pairs
-        if not (a is None or b is None or is_pole(a) or is_pole(b))
+        if not (a is None or b is None or a is POLE or b is POLE)
     ]
     worst = max([0.0, *errs])
     passed = worst <= limit and not note
@@ -300,9 +300,13 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
 # claims
 
 def verify_claims(
-    params: CurveParams, lat: Lattice, table: ClosedFormTable
+    params: CurveParams, lat: Lattice, table: ClosedFormTable, numeric=None
 ) -> list[PropertyResult]:
-    """The geometric/figure claims for one curve, as property results."""
+    """The geometric/figure claims for one curve, as property results.
+
+    numeric, when given, is the evaluator's 9x9 node grid (indexed [m][n]);
+    the claims then read node (2, 2) from it instead of evaluating it again.
+    """
     beta = params.beta
     d = params.d
     radius = beta / params.delta
@@ -325,7 +329,10 @@ def verify_claims(
     )
 
     # (b) the center value lies on both circles
-    v = essential_R(_node_z(lat, 2, 2), lat, params)
+    if numeric is None:
+        v = essential_R(_node_z(lat, 2, 2), lat, params)
+    else:
+        v = numeric[2][2]
     e_unit = abs(abs(v) - 1.0)
     e_red = abs(abs(v + beta) - radius) / max(1.0, radius)
     pairing = "(omega1+omega2)/2 -> " + (
@@ -353,7 +360,7 @@ def verify_claims(
     plus = set()
     minus = set()
     for m, n, _sym, val in table:
-        if is_pole(val):
+        if val is POLE:
             continue
         if abs(val - 1.0) <= 1e-9:
             plus.add((m, n))
@@ -387,7 +394,7 @@ def verify_claims(
 def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
     """Each mirror circle's inversion maps line k of its family onto line
     8 - k at the same parameter; spot-check lines k = 2, 4, 6, each evaluated
-    once at 17 samples.
+    once at 17 samples, each line in one kernel call.
 
     Red line k is Im z = k*omega2/8, and conjugation then the omega2
     translation (inversion in |R + beta| = beta/delta) sends it onto red
@@ -400,7 +407,7 @@ def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyRe
 
     def check(name, point, translate):
         lines = {
-            k: [essential_R(point(k, j), lat, params) for j in range(17)]
+            k: essential_R_values([point(k, j) for j in range(17)], lat)
             for k in (2, 4, 6)
         }
         return _worst_check(
@@ -436,7 +443,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     lat = compute_lattice(params)
     table = grid_table(params)
     numeric = [
-        [essential_R(_node_z(lat, m, n), lat, params) for n in range(9)]
+        essential_R_values([_node_z(lat, m, n) for n in range(9)], lat)
         for m in range(9)
     ]
     oracle = half_argument_oracle(params, lat)
@@ -450,9 +457,9 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     for n in range(9):
         for m in range(9):
             closed, num, orc = table.value(m, n), numeric[m][n], oracle[m][n]
-            if is_pole(closed) != is_pole(num):
+            if (closed is POLE) != (num is POLE):
                 abs_err = rel_err = math.inf
-            elif is_pole(closed):
+            elif closed is POLE:
                 abs_err = rel_err = 0.0
             else:
                 abs_err = abs(closed - num)
@@ -462,7 +469,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             )
             if orc is None:
                 inconclusive.append((m, n))
-            elif len({is_pole(closed), is_pole(num), is_pole(orc)}) == 2:
+            elif len({closed is POLE, num is POLE, orc is POLE}) == 2:
                 bad.append((m, n))
             else:
                 triples += ((closed, num), (closed, orc), (num, orc))
@@ -473,7 +480,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
         note += f"; pole/finite disagreement at {bad}"
 
     axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
-    props = verify_claims(params, lat, table) + [
+    props = verify_claims(params, lat, table, numeric) + [
         _worst_check(
             "triple_source_agreement",
             TRIPLE_TOL,
@@ -496,7 +503,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
                 (a, b.conjugate())
                 for col in numeric
                 for a, b in zip(col, reversed(col))
-                if not (is_pole(a) or is_pole(b))
+                if not (a is POLE or b is POLE)
             ),
         ),
         *_line_inversion_checks(params, lat),

@@ -18,7 +18,7 @@ from octell import (
     wp_with_prime,
 )
 from octell import _backend
-from octell.evaluate import conj, shift_omega1, shift_omega2
+from octell.evaluate import conj, essential_R_values, shift_omega1, shift_omega2
 from conftest import GOLDEN_BETA, SAMPLE_BETAS, node_z
 
 # beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
@@ -292,6 +292,66 @@ def test_snaps_are_exact_far_from_the_origin(beta):
         if essential_R(z, lat, p) != roots[node[0] % 2, node[1] % 2]
     ]
     assert misses == []
+
+
+# --- the R-only list kernel against the joint one ---------------------------
+
+KERNEL_BETAS = [1.0 + 1e-6, 1.2, GOLDEN_BETA, 3.0, 50.0, 1e6, 1e12]
+
+
+def kernel_points(lat, seed):
+    """Seeded points in all four quadrants, both axes and the cell edges with
+    +-0.0 components, and lattice points and half-periods up to 1,000
+    periods out."""
+    rng = random.Random(seed)
+    w1, w2 = lat.omega1, lat.omega2_im
+    pts = [
+        complex(rng.uniform(-2.0, 2.0) * w1, rng.uniform(-2.0, 2.0) * w2)
+        for _ in range(200)
+    ]
+    for _ in range(40):
+        x, y = rng.uniform(-w1, w1), rng.uniform(-w2, w2)
+        for zero in (0.0, -0.0):
+            pts += [complex(x, zero), complex(zero, y)]
+        for sx in (1.0, -1.0):
+            pts += [complex(sx * w1, y), complex(x, sx * w2), complex(sx * w1, sx * w2)]
+    for zx in (0.0, -0.0):
+        for zy in (0.0, -0.0):
+            pts.append(complex(zx, zy))
+    for _ in range(100):
+        m, n = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        for dm, dn in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            pts.append(complex((2 * m + dm) * w1, (2 * n + dn) * w2))
+    return pts
+
+
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_list_kernel_matches_wp_pair_bit_for_bit(beta):
+    # omega1 < omega2_im at 1 + 1e-6 and 1.2, > from GOLDEN_BETA on, so both
+    # lattice orientations are covered
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    pts = kernel_points(lat, seed=15)
+    want = [repr(_backend.wp_pair(z, lat.theta)[0]) for z in pts]
+    assert [repr(v) for v in _backend.wp_values(pts, lat.theta)] == want
+    assert [repr(v) for v in essential_R_values(pts, lat)] == want
+    assert [repr(essential_R(z, lat, p)) for z in pts] == want
+
+
+def test_list_kernel_covers_both_orientations():
+    rotated = {compute_lattice(derive_params(b)).theta.rotated for b in KERNEL_BETAS}
+    assert rotated == {False, True}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_points_raise_the_same_error(p3, lat3, bad, part):
+    z = complex(bad, 0.3) if part == "real" else complex(0.3, bad)
+    with pytest.raises(ValueError, match="finite") as one:
+        essential_R(z, lat3, p3)
+    with pytest.raises(ValueError, match="finite") as many:
+        essential_R_values([0.1 + 0.2j, z, 0.2 + 0.1j], lat3)
+    assert str(one.value) == str(many.value)
 
 
 # --- the kernel's range: beta up to about 1.67e153 ---------------------------

@@ -246,17 +246,17 @@ def test_mirrored_render_matches_brute_force(monkeypatch, beta, L, S):
 
 @pytest.mark.parametrize("L,S", [(16, 512), (5, 33), (5, 32), (4, 33), (6, 22)])
 def test_kernel_calls_per_render(monkeypatch, L, S):
-    # the default evaluates 5 x 129 samples per family (1,290 calls, of
+    # the default evaluates 5 x 129 samples per family (1,290 points, of
     # 17,442 samples); an odd L or S evaluates every line or sample of the
     # quarter, as the conjugation mirror alone does
     calls = []
-    kernel = octell.figure.essential_R
+    kernel = octell.figure.essential_R_values
 
-    def count(z, lat, params):
-        calls.append(z)
-        return kernel(z, lat, params)
+    def count(points, lat):
+        calls.extend(points)
+        return kernel(points, lat)
 
-    monkeypatch.setattr(octell.figure, "essential_R", count)
+    monkeypatch.setattr(octell.figure, "essential_R_values", count)
     render_figure(FigureConfig(lines_per_axis=L, samples_per_line=S))
     k_eval, j_eval = _evaluated(L, S)
     assert len(calls) == 2 * (k_eval + 1) * (j_eval + 1)

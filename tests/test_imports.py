@@ -2,11 +2,13 @@
 `import octell` load only what they use, the package resolves its public
 names on first use, and `octell.cli` looks up `verify_grid` and `sweep`
 where a profiler can replace them."""
+import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -112,3 +114,22 @@ def test_cli_calls_the_patched_sweep(monkeypatch, capsys):
     assert octell.cli.run(argv) == 0
     assert calls == [(2.0, 3.0, 2)]
     assert '"all_pass": true' in capsys.readouterr().out
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py wraps names where octell's modules look them up
+    # (octell.figure.essential_R among them, though figure evaluates through
+    # essential_R_values); a name gone from a module breaks every traced run
+    pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    import octell.figure
+
+    before = octell.figure.essential_R
+    tracer = tracing.Tracer()
+    tracer.install(SimpleNamespace())
+    try:
+        assert octell.figure.essential_R is not before
+    finally:
+        tracer.restore()
+    assert octell.figure.essential_R is before

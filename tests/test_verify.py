@@ -224,9 +224,10 @@ def test_halve_branch_refuses_node_on_its_boundary(p3):
 
 def test_oracle_never_calls_the_evaluator(monkeypatch, p3, lat3):
     def forbidden(*args):
-        raise AssertionError("the oracle called essential_R")
+        raise AssertionError("the oracle called the evaluator")
 
     monkeypatch.setattr(octell.verify, "essential_R", forbidden)
+    monkeypatch.setattr(octell.verify, "essential_R_values", forbidden)
     oracle = half_argument_oracle(p3, lat3)
     assert all(v is not None for col in oracle for v in col)
 
@@ -351,9 +352,11 @@ def test_report_builds_each_input_once(monkeypatch):
 
 
 def test_report_evaluates_each_point_once(monkeypatch):
-    # 81 nodes, 5 claim points and 3 lines of 17 samples per inversion
-    # family: the blue check pairs its lines like the red one, so no line is
-    # evaluated twice
+    # 81 nodes, the 4 log-derivative centers and 3 lines of 17 samples per
+    # inversion family: the claims read node (2,2) from the numeric grid, and
+    # the blue check pairs its lines like the red one, so no line is
+    # evaluated twice. The centers are nodes too, but they need R', which the
+    # grid does not hold.
     calls = []
     for name in ("essential_R", "log_deriv_sq"):
         real = getattr(octell.verify, name)
@@ -363,8 +366,16 @@ def test_report_evaluates_each_point_once(monkeypatch):
             return _real(z, *args)
 
         monkeypatch.setattr(octell.verify, name, counted)
+    real_values = octell.verify.essential_R_values
+
+    def counted_values(points, lat):
+        calls.extend(points)
+        return real_values(points, lat)
+
+    monkeypatch.setattr(octell.verify, "essential_R_values", counted_values)
     assert verify_grid(3.0).passed
-    assert len(calls) == 81 + 5 + 2 * 3 * 17 == 188
+    assert len(calls) == 81 + 4 + 2 * 3 * 17 == 187
+    assert len(set(calls)) == 187 - 4
 
 
 _RED, _BLUE = "red_circle_inverts_red_lines", "blue_circle_inverts_blue_lines"
