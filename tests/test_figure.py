@@ -264,3 +264,77 @@ def test_kernel_calls_per_render(monkeypatch, L, S):
         assert len(calls) == 1290
     if L % 2 and S % 2:
         assert len(calls) == 2 * (L // 2 + 1) * (S // 2 + 1)
+
+
+# --- byte-identity guard --------------------------------------------------
+# The figure's printer as it was one point at a time: each quarter sample
+# printed with two %.9g calls, mirrored by token lists and split into
+# polylines at None. Line-level printing must give the same SVG text.
+
+def _ref_printed(vals, clip):
+    pts, conj_pts = [], []
+    for v in vals:
+        if is_pole(v) or abs(v) > clip:
+            pts.append(None)
+            conj_pts.append(None)
+            continue
+        x = "%.9g," % (v.real + 0.0)
+        y = "%.9g" % (-v.imag + 0.0)
+        pts.append(x + y)
+        conj_pts.append(x + (y[1:] if y[0] == "-" else y if y == "0" else "-" + y))
+    return pts, conj_pts
+
+
+def _ref_mirror_block(block, image, rows, cols):
+    r = rows - len(block)
+    c = cols - len(block[0])
+    pairs = list(zip(block, image))
+    return [[*b, *reversed(m[:c])] for b, m in pairs] + [
+        [*m, *reversed(b[:c])] for b, m in reversed(pairs[:r])
+    ]
+
+
+def _ref_polylines(points):
+    out = []
+    run = []
+    for p in [*points, None]:
+        if p is not None:
+            run.append(p)
+            continue
+        if len(run) >= 2:
+            out.append('<polyline points="%s"/>' % " ".join(run))
+        run = []
+    return "".join(out)
+
+
+def _ref_groups(quarter, L, S, clip):
+    pts, conj_pts = zip(*(_ref_printed(vals, clip) for vals in quarter))
+    lines = _ref_mirror_block(pts, conj_pts, L + 1, S + 1)
+    return [f'<g data-line="{k}">{_ref_polylines(line)}</g>' for k, line in enumerate(lines)]
+
+
+@pytest.mark.parametrize("clip", [None, 1.0])
+@pytest.mark.parametrize("L,S", [(16, 512), (5, 33), (4, 32), (6, 20), (7, 16)])
+@pytest.mark.parametrize("beta", [None, 1.0 + 1e-6, 1.2, 3.0, 50.0, 1e12])
+def test_svg_matches_point_by_point_printer(monkeypatch, beta, L, S, clip):
+    kw = {} if beta is None else dict(beta=beta)
+    cfg = FigureConfig(lines_per_axis=L, samples_per_line=S, clip_radius=clip, **kw)
+    seen = []
+    quarter = octell.figure._quarter
+
+    def record(*args):
+        seen.append(quarter(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(octell.figure, "_quarter", record)
+    svg = render_figure(cfg)
+    assert len(seen) == 2
+    radius = cfg.resolved_clip()
+    red, blue = (_ref_groups(q, L, S, radius) for q in seen)
+    if clip is not None:
+        # the unit clip cuts finite values as well as the poles
+        assert any(
+            not is_pole(v) and abs(v) > radius for q in seen for line in q for v in line
+        )
+    frame = [line for line in svg.split("\n") if not line.startswith("<g data-line=")]
+    assert svg == "\n".join([*frame[:2], *red, *frame[2:4], *blue, *frame[4:]])
