@@ -10,8 +10,11 @@ call, for one point or a whole list; `wp_with_prime`, `wp_prime` and
 `log_deriv_sq` need R' too and make one `_backend.wp_pair` call per point.
 `wp` adds e1 = alpha. `POLE` is the kernel's marker, re-exported here.
 `conj` and `mirror_block` are the one conjugation and the one
-quarter-to-grid mirror of the closed-form table, the half-argument oracle
-and the figure. `wp_lattice_sum_oracle` is the slow independent cross-check.
+quarter-to-grid mirror of the closed-form table and the half-argument oracle;
+`invert_omega1` and `invert_omega2` are the paper's two circle inversions,
+the half-period translations composed with conjugation, over a list of values,
+for the figure and the verifier's line checks. `wp_lattice_sum_oracle` is the
+slow independent cross-check.
 """
 from __future__ import annotations
 
@@ -59,33 +62,34 @@ def mirror_block(block: list, image: list, rows: int = 9, cols: int = 9) -> list
     ]
 
 
-def shift_omega1(v: NodeValue) -> NodeValue:
-    """R(z + omega1) from v = R(z): 1/R(z) (DLMF §23.6(i)), POLE <-> 0 exactly.
+def invert_omega1(values: list) -> list:
+    """R(conj z + omega1) at each v = R(z): 1/conj(v) (DLMF §23.6(i)), POLE <-> 0
+    exactly.
 
-    Maps Re z = omega1/2 onto the unit circle (inversion in |R| = 1).
+    The inversion in the unit circle |R| = 1, onto which R maps Re z = omega1/2.
     """
-    if v is POLE:
-        return 0j
-    if v == 0:
-        return POLE
-    return 1.0 / v
+    return [
+        0j if v is POLE else POLE if v == 0 else 1.0 / (v.conjugate() + 0.0)
+        for v in values
+    ]
 
 
-def shift_omega2(v: NodeValue, par: CurveParams) -> NodeValue:
-    """R(z + omega2) from v = R(z), POLE <-> -beta exactly.
+def invert_omega2(values: list, par: CurveParams) -> list:
+    """R(conj z + omega2) at each v = R(z), POLE <-> -beta exactly.
 
-    -beta + beta*d/(v + beta) is computed as -beta*p/(p + d), p = v + 1/beta,
-    which subtracts no nearly equal numbers at large beta (beta - d = 1/beta).
-    Maps Im z = omega2/2 onto the red circle |R + beta| = beta/delta.
+    With c = conj(v), -beta + beta*d/(c + beta) is computed as
+    -beta*p/(p + d), p = c + 1/beta, which subtracts no nearly equal numbers
+    at large beta (beta - d = 1/beta). The inversion in the red circle
+    |R + beta| = beta/delta, onto which R maps Im z = omega2/2.
     """
-    beta = par.beta   # one field read: a render calls this for ~1,700 samples
-    if v is POLE:
-        return complex(-beta)
-    p = v + 1.0 / beta
-    den = p + par.d
-    if v == -beta or den == 0:
-        return POLE
-    return -beta * p / den
+    nb, ib, d = -par.beta, 1.0 / par.beta, par.d
+    at_pole = complex(nb)
+    return [
+        at_pole if v is POLE
+        else POLE if v == nb or (den := (p := v.conjugate() + 0.0 + ib) + d) == 0
+        else nb * p / den
+        for v in values
+    ]
 
 
 def _check_z(z: complex) -> complex:

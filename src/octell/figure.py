@@ -4,11 +4,14 @@ horizontal and vertical period-cell lines, plus the two mirror circles.
 Each family is evaluated on one sixteenth of the cell, 0 <= Re z <= omega1/2
 and 0 <= Im z <= omega2/2 (1,290 of 17,442 samples at the default 16 x 512),
 one kernel call per line (`essential_R_values`).
-The two half-period translations, R(z + omega1) = 1/R(z) and the omega2 map
-onto the red circle, each composed with conjugation, fill the rest of the
-quarter cell; conjugation mirrors the quarter onto the whole cell. Each
-quarter sample is printed once, and its mirror images reuse the text with
-the sign of y flipped.
+The paper's two circle inversions, the half-period translations composed
+with conjugation (`invert_omega1`, `invert_omega2`), fill the rest of the
+quarter cell a line at a time; conjugation mirrors the quarter onto the
+whole cell. Each quarter line is printed with one %-format, "x,y " per
+sample, and a pole or a value past the clip radius prints as the break
+token "inf,0 ", at which the line splits into polylines. The mirror images
+reuse that text: the conjugates' text is the same with the sign of each y
+flipped, and the reversed half of a line is its tokens in reverse order.
 
 Output is deterministic text (stable float formatting, no timestamps), so
 renders can be compared byte-for-byte in tests.
@@ -16,18 +19,17 @@ renders can be compared byte-for-byte in tests.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 # essential_R is bound here, though unused, for the benchmark tracer, which
 # wraps it where figure and verify look it up
 from .evaluate import (  # noqa: F401
     POLE,
-    conj,
     essential_R,
     essential_R_values,
-    mirror_block,
-    shift_omega1,
-    shift_omega2,
+    invert_omega1,
+    invert_omega2,
 )
 from .lattice import compute_lattice
 from .params import GOLDEN_BETA, derive_params
@@ -62,6 +64,9 @@ class FigureConfig(
         return 4.0 * float(self.beta)
 
     def validate(self) -> None:
+        # 16.0 or "16" raises TypeError here, not later in the render
+        operator.index(self.lines_per_axis)
+        operator.index(self.samples_per_line)
         if self.lines_per_axis < 2:
             raise ValueError("lines_per_axis must be >= 2")
         if self.samples_per_line < 16:
@@ -81,65 +86,93 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def _quarter(point, L: int, S: int, fill_sample, fill_line, lat) -> list[list]:
+def _quarter(line, L: int, S: int, fill_sample, fill_line, lat) -> list[list]:
     """R at samples j <= S//2 of lines k <= L//2 of one family, line by line.
 
-    Only the sub-block k <= L/4, j <= S/4 is evaluated at point(k, j), one
-    `essential_R_values` call per line.
+    Only the sub-block k <= L/4, j <= S/4 is evaluated, one
+    `essential_R_values` call per line; line(k, n) gives the points of
+    samples j < n of line k.
     Along a step of omega1 the point S/2 - j is omega1 - conj(point j), along
     omega2 it is omega2 + conj(point j); R is even and R(conj z) = conj R(z),
-    so sample j > S/4 is fill_sample(conj(sample S/2 - j)) and line k > L/4 is
-    fill_line(conj(line L/2 - k)), fill_* being the `evaluate.shift_omega*`
-    of that step. An odd S or L leaves no integer partner, and then every
-    sample or line of the quarter is evaluated.
+    so samples j > S/4 are fill_sample of samples S/2 - j and lines k > L/4
+    are fill_line of line L/2 - k, fill_* being the `evaluate.invert_omega*`
+    circle inversion of that step. An odd S or L leaves no integer partner,
+    and then every sample or line of the quarter is evaluated.
     """
     j_eval = S // 4 if S % 2 == 0 else S // 2
     k_eval = L // 4 if L % 2 == 0 else L // 2
     lines = []
     for k in range(L // 2 + 1):
         if k > k_eval:
-            lines.append([fill_line(conj(v)) for v in lines[L // 2 - k]])
+            lines.append(fill_line(lines[L // 2 - k]))
             continue
-        vals = essential_R_values([point(k, j) for j in range(j_eval + 1)], lat)
-        vals += [fill_sample(conj(vals[S // 2 - j])) for j in range(j_eval + 1, S // 2 + 1)]
+        vals = essential_R_values(line(k, j_eval + 1), lat)
+        vals += fill_sample(vals[: S // 2 - j_eval][::-1])
         lines.append(vals)
     return lines
 
 
-def _printed(vals, clip: float):
-    """The printed points of vals and of their conjugates; None where a
-    value is a pole or beyond the clip radius.
+# a pole or a value past the clip radius prints as "inf,0 ", which no finite
+# value prints as
+_BREAK = complex(math.inf, 0.0)
+_BREAK_TEXT = "inf,0 "
 
-    %.9g of -x is "-" plus %.9g of x, 0 prints as 0 and |conj v| = |v|, so
-    the conjugate's text is the value's with the sign of y flipped.
+
+def _printed(vals, clip: float) -> str:
+    """The points of vals as text, "x,y " each, with y flipped so the upper
+    half plane renders upward, in one %-format; the break token where a
+    value is a pole or beyond the clip radius."""
+    # a NaN is never past the clip radius: max returns it only when it comes
+    # first, and the test below then keeps it
+    if POLE in vals or not max(map(abs, vals)) <= clip:
+        vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
+    flat = [0.0] * (2 * len(vals))
+    # + 0.0 and 0.0 - turn a zero of either sign into 0
+    flat[::2] = [v.real + 0.0 for v in vals]
+    flat[1::2] = [0.0 - v.imag for v in vals]
+    return ("%.9g,%.9g " * len(vals)) % tuple(flat)
+
+
+def _conjugated(text: str) -> str:
+    """The printed points of the conjugates: each y's sign flipped, 0 kept.
+
+    %.9g of -y is "-" plus %.9g of y and |conj v| = |v|, so this is the text
+    `_printed` gives for the conjugate values.
     """
-    pts, conj_pts = [], []
-    for v in vals:
-        if v is POLE or abs(v) > clip:
-            pts.append(None)
-            conj_pts.append(None)
-            continue
-        # y axis flipped so the upper half plane renders upward;
-        # + 0.0 turns -0.0 into 0
-        x = "%.9g," % (v.real + 0.0)
-        y = "%.9g" % (-v.imag + 0.0)
-        pts.append(x + y)
-        conj_pts.append(x + (y[1:] if y[0] == "-" else y if y == "0" else "-" + y))
-    return pts, conj_pts
+    # every y gains a "-", a doubled one cancels, and "-0" goes back to "0"
+    return text.replace(",", ",-").replace(",--", ",").replace(",-0 ", ",0 ")
 
 
-def _polylines(points) -> str:
-    """Split a line's printed points at poles/escapes into SVG polylines."""
-    out = []
-    run: list[str] = []
-    for p in [*points, None]:
-        if p is not None:
-            run.append(p)
-            continue
-        if len(run) >= 2:
-            out.append('<polyline points="%s"/>' % " ".join(run))
-        run = []
-    return "".join(out)
+def _polylines(text: str) -> str:
+    """Split a line's printed points at the break token into SVG polylines
+    of two points or more."""
+    return "".join(
+        '<polyline points="%s"/>' % run[:-1]
+        for run in text.split(_BREAK_TEXT)
+        if run.count(" ") >= 2
+    )
+
+
+def _mirrored(quarter: list[str], L: int, S: int) -> list[str]:
+    """The printed lines k = 0..L from the printed quarter, lines k <= L//2
+    of samples j <= S//2.
+
+    R is even and R(conj z) = conj R(z): line k is its quarter text followed
+    by the conjugates of its first S - S//2 samples in reverse order, and
+    line L - k is the conjugated text followed by those samples reversed.
+    """
+    c = S - S // 2
+
+    def back(text):
+        return " ".join(text.split(" ")[c - 1 :: -1]) + " "
+
+    rows, mirror = [], []
+    for k, text in enumerate(quarter):
+        conj_text = _conjugated(text)
+        rows.append(text + back(conj_text))
+        if k < L - L // 2:   # an even L's middle line is its own mirror
+            mirror.append(conj_text + back(text))
+    return rows + mirror[::-1]
 
 
 def render_figure(config: FigureConfig | None = None) -> str:
@@ -157,30 +190,31 @@ def render_figure(config: FigureConfig | None = None) -> str:
     per_y = 2.0 * lat.omega2_im
     unit = (xmax - xmin) / _PX  # user units per pixel
 
-    def shift2(v):
-        return shift_omega2(v, params)
-
-    def _family(point, fill_sample, fill_line) -> list[str]:
-        # The <g data-line> groups of lines k = 0..L, sample j = 0..S of line k
-        # at point(k, j). R is even and R(conj z) = conj R(z), so line L - k
-        # and sample S - j are the conjugates of line k and sample j: the
-        # quarter k <= L//2, j <= S//2 is computed (by `_quarter`, from its
-        # first sixteenth of the cell) and printed once, and the rest reuse
-        # its text with y's sign flipped.
-        quarter = _quarter(point, L, S, fill_sample, fill_line, lat)
-        pts, conj_pts = zip(*(_printed(vals, clip) for vals in quarter))
-        lines = mirror_block(pts, conj_pts, L + 1, S + 1)
-        return [f'<g data-line="{k}">{_polylines(line)}</g>' for k, line in enumerate(lines)]
-
     # k / L * per puts the middle line and sample exactly on the cell edge;
     # red samples run along omega1 and red lines step along omega2, blue
     # the other way round
-    red_groups = _family(
-        lambda k, j: complex(j / S * per_x, k / L * per_y), shift_omega1, shift2
-    )
-    blue_groups = _family(
-        lambda k, j: complex(k / L * per_x, j / S * per_y), shift2, shift_omega1
-    )
+    def red(k, n):
+        y = k / L * per_y
+        return [complex(j / S * per_x, y) for j in range(n)]
+
+    def blue(k, n):
+        x = k / L * per_x
+        return [complex(x, j / S * per_y) for j in range(n)]
+
+    def invert_red(vals):
+        return invert_omega2(vals, params)
+
+    def _family(line, fill_sample, fill_line) -> list[str]:
+        # The <g data-line> groups of lines k = 0..L: the quarter k <= L//2,
+        # j <= S//2 is computed (by `_quarter`, from its first sixteenth of
+        # the cell) and printed a line at a time, and the rest of the cell
+        # reuses its text
+        quarter = _quarter(line, L, S, fill_sample, fill_line, lat)
+        lines = _mirrored([_printed(vals, clip) for vals in quarter], L, S)
+        return [f'<g data-line="{k}">{_polylines(text)}</g>' for k, text in enumerate(lines)]
+
+    red_groups = _family(red, invert_omega1, invert_red)
+    blue_groups = _family(blue, invert_red, invert_omega1)
 
     parts = []
     parts.append(

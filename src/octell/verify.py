@@ -33,10 +33,10 @@ from .evaluate import (
     conj,
     essential_R,
     essential_R_values,
+    invert_omega1,
+    invert_omega2,
     log_deriv_sq,
     mirror_block,
-    shift_omega1,
-    shift_omega2,
 )
 from .lattice import Lattice, compute_lattice
 from .params import CurveParams, derive_params
@@ -393,8 +393,8 @@ def verify_claims(
 
 def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
     """Each mirror circle's inversion maps line k of its family onto line
-    8 - k at the same parameter; spot-check lines k = 2, 4, 6, each evaluated
-    once at 17 samples, each line in one kernel call.
+    8 - k at the same parameter; spot-check lines k = 2, 4, 6 at 17 samples
+    each, the three lines of a family in one kernel call.
 
     Red line k is Im z = k*omega2/8, and conjugation then the omega2
     translation (inversion in |R + beta| = beta/delta) sends it onto red
@@ -405,32 +405,29 @@ def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyRe
     """
     w1, w2i = lat.omega1, lat.omega2_im
 
-    def check(name, point, translate):
-        lines = {
-            k: essential_R_values([point(k, j) for j in range(17)], lat)
-            for k in (2, 4, 6)
-        }
+    def check(name, point, invert):
+        vals = essential_R_values(
+            [point(k, j) for k in (2, 4, 6) for j in range(17)], lat
+        )
+        # line 8 - k for each line k: lines 6, 4, 2
+        targets = vals[34:] + vals[17:34] + vals[:17]
         return _worst_check(
             name,
             INVERSION_TOL,
             "lines k=2,4,6 vs k=6,4,2 (same parameter), max rel err",
-            (
-                (tgt, translate(v.conjugate()))
-                for k in (2, 4, 6)
-                for v, tgt in zip(lines[k], lines[8 - k])
-            ),
+            zip(targets, invert(vals)),
         )
 
     return [
         check(
             "red_circle_inverts_red_lines",
             lambda k, j: complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0),
-            lambda v: shift_omega2(v, params),
+            lambda vals: invert_omega2(vals, params),
         ),
         check(
             "blue_circle_inverts_blue_lines",
             lambda k, j: complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0),
-            shift_omega1,
+            invert_omega1,
         ),
     ]
 

@@ -18,7 +18,7 @@ from octell import (
     wp_with_prime,
 )
 from octell import _backend
-from octell.evaluate import conj, essential_R_values, shift_omega1, shift_omega2
+from octell.evaluate import conj, essential_R_values, invert_omega1, invert_omega2
 from conftest import GOLDEN_BETA, SAMPLE_BETAS, node_z
 
 # beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
@@ -173,13 +173,14 @@ def test_essential_shift(p3, lat3):
 def test_translations_match_evaluator(beta, fx, fy):
     # z in the lower half of the quarter cell, Im z <= omega2/2: R(z) lies on or
     # outside the red circle |R + beta| = beta/delta, away from the omega2 map's
-    # pole at -beta, as the figure's sources do
+    # pole at -beta, as the figure's sources do; each inversion of v = R(z) is
+    # R(conj z + omega)
     p = derive_params(beta)
     lat = compute_lattice(p)
     z = complex(fx * lat.omega1, 0.5 * fy * lat.omega2_im)
     v = essential_R(z, lat, p)
-    for got, z2 in ((shift_omega1(v), z + lat.omega1), (shift_omega2(v, p), z + lat.omega2)):
-        ref = essential_R(z2, lat, p)
+    for (got,), omega in ((invert_omega1([v]), lat.omega1), (invert_omega2([v], p), lat.omega2)):
+        ref = essential_R(z.conjugate() + omega, lat, p)
         assert is_pole(got) == is_pole(ref)
         if not is_pole(ref):
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (got, ref)
@@ -190,15 +191,17 @@ def test_translations_at_half_periods(beta):
     # the half-period values POLE, 0, -beta, -1/beta map onto each other;
     # POLE <-> 0 and POLE <-> -beta exactly
     p = derive_params(beta)
-    assert shift_omega1(POLE) == 0j
-    assert is_pole(shift_omega1(0j))
-    assert shift_omega2(POLE, p) == complex(-beta)
-    assert is_pole(shift_omega2(complex(-beta), p))
-    assert shift_omega2(complex(-1.0 / beta), p) == 0j
-    assert shift_omega1(complex(-beta)) == complex(-1.0 / beta)
-    assert shift_omega1(complex(-1.0 / beta)) == pytest.approx(-beta, rel=1e-15)
-    assert shift_omega2(0j, p) == pytest.approx(-1.0 / beta, rel=1e-15)
-
+    half = [POLE, 0j, complex(-beta), complex(-1.0 / beta)]
+    at_pole, at_zero, at_beta, at_inverse = invert_omega1(half)
+    assert at_pole == 0j
+    assert is_pole(at_zero)
+    assert at_beta == complex(-1.0 / beta)
+    assert at_inverse == pytest.approx(-beta, rel=1e-15)
+    at_pole, at_zero, at_beta, at_inverse = invert_omega2(half, p)
+    assert at_pole == complex(-beta)
+    assert is_pole(at_beta)
+    assert at_inverse == 0j
+    assert at_zero == pytest.approx(-1.0 / beta, rel=1e-15)
 
 
 def test_conj_keeps_pole_and_zero_signs(p3, lat3):

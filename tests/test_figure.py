@@ -45,6 +45,20 @@ def test_config_validation(kw):
         render_figure(FigureConfig(**kw))
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(lines_per_axis=16.0),
+        dict(lines_per_axis="16"),
+        dict(samples_per_line=512.0),
+        dict(samples_per_line="512"),
+    ],
+)
+def test_config_counts_must_be_integers(kw):
+    with pytest.raises(TypeError):
+        FigureConfig(**kw).validate()
+
+
 def test_svg_structure():
     svg = render_figure(FigureConfig(**SMALL))
     assert svg.startswith("<svg ")
@@ -337,4 +351,11 @@ def test_svg_matches_point_by_point_printer(monkeypatch, beta, L, S, clip):
             not is_pole(v) and abs(v) > radius for q in seen for line in q for v in line
         )
     frame = [line for line in svg.split("\n") if not line.startswith("<g data-line=")]
-    assert svg == "\n".join([*frame[:2], *red, *frame[2:4], *blue, *frame[4:]])
+    want = "\n".join([*frame[:2], *red, *frame[2:4], *blue, *frame[4:]])
+    if svg != want:
+        # show where they part rather than a diff of two long texts
+        i = next(
+            (i for i, (a, b) in enumerate(zip(svg, want)) if a != b),
+            min(len(svg), len(want)),
+        )
+        pytest.fail(f"differ at {i}: {svg[i - 60 : i + 60]!r} != {want[i - 60 : i + 60]!r}")

@@ -356,8 +356,10 @@ def test_report_evaluates_each_point_once(monkeypatch):
     # inversion family: the claims read node (2,2) from the numeric grid, and
     # the blue check pairs its lines like the red one, so no line is
     # evaluated twice. The centers are nodes too, but they need R', which the
-    # grid does not hold.
+    # grid does not hold. The grid takes one kernel call per column and each
+    # inversion family one for its three lines.
     calls = []
+    sizes = []
     for name in ("essential_R", "log_deriv_sq"):
         real = getattr(octell.verify, name)
 
@@ -370,11 +372,13 @@ def test_report_evaluates_each_point_once(monkeypatch):
 
     def counted_values(points, lat):
         calls.extend(points)
+        sizes.append(len(points))
         return real_values(points, lat)
 
     monkeypatch.setattr(octell.verify, "essential_R_values", counted_values)
     assert verify_grid(3.0).passed
     assert len(calls) == 81 + 4 + 2 * 3 * 17 == 187
+    assert sizes == [9] * 9 + [3 * 17] * 2
     assert len(set(calls)) == 187 - 4
 
 
@@ -382,22 +386,21 @@ _RED, _BLUE = "red_circle_inverts_red_lines", "blue_circle_inverts_blue_lines"
 
 
 @pytest.mark.parametrize(
-    "shift, failing, holding",
-    [("shift_omega1", _BLUE, _RED), ("shift_omega2", _RED, _BLUE)],
+    "invert, failing, holding",
+    [("invert_omega1", _BLUE, _RED), ("invert_omega2", _RED, _BLUE)],
 )
 def test_perturbed_translation_fails_its_inversion_check(
-    monkeypatch, shift, failing, holding
+    monkeypatch, invert, failing, holding
 ):
-    # each inversion check pairs lines through its own family's translation,
+    # each inversion check pairs lines through its own family's inversion,
     # so a 1e-5 relative error in that map, ten times INVERSION_TOL,
     # must fail it and leave the other family's check passing
-    real = getattr(octell.verify, shift)
+    real = getattr(octell.verify, invert)
 
-    def perturbed(v, *args):
-        w = real(v, *args)
-        return w if is_pole(w) else w * (1.0 + 1e-5)
+    def perturbed(vals, *args):
+        return [w if is_pole(w) else w * (1.0 + 1e-5) for w in real(vals, *args)]
 
-    monkeypatch.setattr(octell.verify, shift, perturbed)
+    monkeypatch.setattr(octell.verify, invert, perturbed)
     props = {p.name: p for p in verify_grid(3.0).property_results}
     assert not props[failing].passed, props[failing].detail
     assert props[holding].passed, props[holding].detail
