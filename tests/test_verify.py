@@ -100,6 +100,40 @@ def _refuse_node_1_1(monkeypatch):
     monkeypatch.setattr(octell.verify, "half_argument_oracle", one_refused)
 
 
+def _swap_table_nodes_1_0_and_3_0(monkeypatch):
+    """Make verify_grid's closed-form table swap nodes (1, 0) and (3, 0)."""
+    real_table = octell.verify.grid_table
+
+    def swapped(params):
+        t = real_table(params)
+        row = list(t._values[0])
+        row[1], row[3] = row[3], row[1]
+        return ClosedFormTable(t.beta, (tuple(row), *t._values[1:]), t._symbols)
+
+    monkeypatch.setattr(octell.verify, "grid_table", swapped)
+
+
+def _mirror_table_rows(monkeypatch):
+    """Make verify_grid's closed-form table hold row 8 - n as row n."""
+    real_table = octell.verify.grid_table
+
+    def mirrored(params):
+        t = real_table(params)
+        return ClosedFormTable(t.beta, t._values[::-1], t._symbols[::-1])
+
+    monkeypatch.setattr(octell.verify, "grid_table", mirrored)
+
+
+def _perturb_inversion(monkeypatch, invert):
+    """Scale every finite value of verify's `invert` map by 1 + 1e-5."""
+    real = getattr(octell.verify, invert)
+
+    def perturbed(vals, *args):
+        return [w if is_pole(w) else w * (1.0 + 1e-5) for w in real(vals, *args)]
+
+    monkeypatch.setattr(octell.verify, invert, perturbed)
+
+
 def test_to_json_matches_json_dumps_at_seeded_betas(monkeypatch):
     rng = random.Random(50)
     betas = [rng.uniform(1.01, 20.0) for _ in range(30)]
@@ -251,15 +285,7 @@ def test_table_swapped_across_unit_circle_fails(monkeypatch):
     # nodes (1, 0) and (3, 0) hold beta2*beta3 and beta0*beta1, outside and
     # inside |R| = 1; the oracle picks them by geometry, so a table with the
     # two swapped fails the axes check
-    real_table = octell.verify.grid_table
-
-    def swapped(params):
-        t = real_table(params)
-        row = list(t._values[0])
-        row[1], row[3] = row[3], row[1]
-        return ClosedFormTable(t.beta, (tuple(row), *t._values[1:]), t._symbols)
-
-    monkeypatch.setattr(octell.verify, "grid_table", swapped)
+    _swap_table_nodes_1_0_and_3_0(monkeypatch)
     rep = verify_grid(3.0)
     assert rep.verdict == "fail"
     axes = next(
@@ -321,13 +347,7 @@ def test_oracle_matches_mpmath_over_the_domain():
 def test_mirrored_rows_fail(monkeypatch):
     # row n runs along +omega2; a table transcribed with its rows mirrored
     # (row n holding row 8 - n, the conjugate values) must not pass
-    real_table = octell.verify.grid_table
-
-    def mirrored(params):
-        t = real_table(params)
-        return ClosedFormTable(t.beta, t._values[::-1], t._symbols[::-1])
-
-    monkeypatch.setattr(octell.verify, "grid_table", mirrored)
+    _mirror_table_rows(monkeypatch)
     rep = verify_grid(3.0)
     assert rep.verdict == "fail"
     assert not rep.orientation_flipped
@@ -395,12 +415,7 @@ def test_perturbed_translation_fails_its_inversion_check(
     # each inversion check pairs lines through its own family's inversion,
     # so a 1e-5 relative error in that map, ten times INVERSION_TOL,
     # must fail it and leave the other family's check passing
-    real = getattr(octell.verify, invert)
-
-    def perturbed(vals, *args):
-        return [w if is_pole(w) else w * (1.0 + 1e-5) for w in real(vals, *args)]
-
-    monkeypatch.setattr(octell.verify, invert, perturbed)
+    _perturb_inversion(monkeypatch, invert)
     props = {p.name: p for p in verify_grid(3.0).property_results}
     assert not props[failing].passed, props[failing].detail
     assert props[holding].passed, props[holding].detail
@@ -475,3 +490,153 @@ def test_sweep_steps_must_be_an_int(steps):
     # int() would run 2 betas for 2.9, 3 for "3" and overflow on inf
     with pytest.raises(TypeError):
         sweep(1.5, 2.0, steps)
+
+
+# --- the report against a pairwise reference ---------------------------------
+#
+# The check path as it was written pair by pair: one `_scaled_err` call per
+# pair, a worst-of-pairs `_worst_check`, one kernel call per numeric column
+# and per inversion family, and the nodes' pairs collected for triple
+# agreement. verify_grid must give the same record and the same JSON text.
+# The reference looks every input up on octell.verify, so the monkeypatches
+# above reach it as they reach verify_grid.
+
+def _ref_scaled_err(closed, other):
+    return abs(closed - other) / max(1.0, abs(closed))
+
+
+def _ref_worst_check(name, limit, label, pairs, note=""):
+    errs = [
+        _ref_scaled_err(a, b)
+        for a, b in pairs
+        if not (a is None or b is None or a is POLE or b is POLE)
+    ]
+    worst = max([0.0, *errs])
+    passed = worst <= limit and not note
+    return PropertyResult(name, passed, f"{label} {worst:.3e}{note}")
+
+
+def _ref_line_inversion_checks(params, lat):
+    V = octell.verify
+    w1, w2i = lat.omega1, lat.omega2_im
+
+    def check(name, point, invert):
+        vals = V.essential_R_values(
+            [point(k, j) for k in (2, 4, 6) for j in range(17)], lat
+        )
+        targets = vals[34:] + vals[17:34] + vals[:17]
+        return _ref_worst_check(
+            name,
+            V.INVERSION_TOL,
+            "lines k=2,4,6 vs k=6,4,2 (same parameter), max rel err",
+            zip(targets, invert(vals)),
+        )
+
+    return [
+        check(
+            "red_circle_inverts_red_lines",
+            lambda k, j: complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0),
+            lambda vals: V.invert_omega2(vals, params),
+        ),
+        check(
+            "blue_circle_inverts_blue_lines",
+            lambda k, j: complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0),
+            V.invert_omega1,
+        ),
+    ]
+
+
+def _ref_verify_grid(beta, tol=1e-9):
+    V = octell.verify
+    params = V.derive_params(beta)
+    lat = V.compute_lattice(params)
+    table = V.grid_table(params)
+    numeric = [
+        V.essential_R_values([node_z(lat, m, n) for n in range(9)], lat)
+        for m in range(9)
+    ]
+    oracle = V.half_argument_oracle(params, lat)
+    per_node, triples, bad, inconclusive = [], [], [], []
+    for n in range(9):
+        for m in range(9):
+            closed, num, orc = table.value(m, n), numeric[m][n], oracle[m][n]
+            if (closed is POLE) != (num is POLE):
+                abs_err = rel_err = math.inf
+            elif closed is POLE:
+                abs_err = rel_err = 0.0
+            else:
+                abs_err = abs(closed - num)
+                rel_err = _ref_scaled_err(closed, num)
+            per_node.append(
+                NodeCheck(m, n, table.symbol(m, n), closed, num, abs_err, rel_err)
+            )
+            if orc is None:
+                inconclusive.append((m, n))
+            elif len({closed is POLE, num is POLE, orc is POLE}) == 2:
+                bad.append((m, n))
+            else:
+                triples += ((closed, num), (closed, orc), (num, orc))
+    note = ""
+    if inconclusive:
+        note += f"; inconclusive oracle nodes {inconclusive}"
+    if bad:
+        note += f"; pole/finite disagreement at {bad}"
+    axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
+    props = V.verify_claims(params, lat, table, numeric) + [
+        _ref_worst_check(
+            "triple_source_agreement", V.TRIPLE_TOL, "max pairwise scaled err",
+            triples, note,
+        ),
+        _ref_worst_check(
+            "oracle_matches_closed_on_axes", V.AXES_TOL, "max scaled err",
+            ((table.value(m, n), oracle[m][n]) for m, n in axes),
+        ),
+        _ref_worst_check(
+            "conjugate_node_consistency", V.CONJ_TOL, "max scaled err",
+            (
+                (a, b.conjugate())
+                for col in numeric
+                for a, b in zip(col, reversed(col))
+                if not (a is POLE or b is POLE)
+            ),
+        ),
+        *_ref_line_inversion_checks(params, lat),
+    ]
+    nodes_pass = all(c.rel_err <= tol for c in per_node)
+    verdict = "pass" if nodes_pass and all(p.passed for p in props) else "fail"
+    return VerificationReport(
+        params.beta, tol, False, tuple(per_node), tuple(props), verdict
+    )
+
+
+def _assert_matches_reference(beta, tol=1e-9):
+    rep, ref = verify_grid(beta, tol), _ref_verify_grid(beta, tol)
+    assert rep == ref and repr(rep) == repr(ref), beta
+    assert rep.to_json() == _dumps(ref), beta
+    return rep
+
+
+def test_report_matches_pairwise_reference_at_seeded_betas():
+    rng = random.Random(17)
+    betas = [rng.uniform(1.01, 20.0) for _ in range(20)]
+    betas += [1.0 + 10.0 ** rng.uniform(-6.0, math.log10(3e7)) for _ in range(20)]
+    verdicts = {_assert_matches_reference(beta).verdict for beta in betas}
+    assert verdicts == {"pass", "fail"}
+    assert _assert_matches_reference(3.0, tol=1e-30).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        _refuse_node_1_1,
+        _swap_table_nodes_1_0_and_3_0,
+        _mirror_table_rows,
+        lambda mp: _perturb_inversion(mp, "invert_omega1"),
+        lambda mp: _perturb_inversion(mp, "invert_omega2"),
+    ],
+    ids=["refused", "swapped", "mirrored", "perturbed_omega1", "perturbed_omega2"],
+)
+def test_report_matches_pairwise_reference_when_a_check_fails(monkeypatch, patch):
+    patch(monkeypatch)
+    for beta in (1.5, 3.0, 1e4):
+        assert _assert_matches_reference(beta).verdict == "fail", beta
