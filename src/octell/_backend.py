@@ -7,8 +7,9 @@ up on this module at call time, which gives profilers one place to wrap them.
 R has two entries, chosen by whether the caller needs R':
 - `wp_values(points, theta)` returns R alone at a list of points, in one
   loop with the lattice set-up done once. `essential_R` (one point),
-  `essential_R_values` (the figure's quarter lines, verify's node columns
-  and inversion lines) and the lattice-sum oracle's pole test call it.
+  `essential_R_values` (the figure's quarter lines, and one call per verify
+  report for its nodes and inversion lines) and the lattice-sum oracle's
+  pole test call it.
 - `wp_pair(z, theta)` returns (R, R') at one point, for `wp_with_prime`,
   `wp_prime` and `log_deriv_sq`.
 Both reduce, snap and restore signs the same way, through one `_snap` rule,
@@ -124,8 +125,13 @@ def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
         )
 
     def tail(j, shift):
-        # sum over n >= j of (-1)^n q^(n(n+1) - shift)
-        return sum((-1) ** n * q ** (n * (n + 1) - shift) for n in range(j, 6))
+        # sum over n >= j of (-1)^n q^(n(n+1) - shift), added left to right:
+        # the builtin sum() compensates float addition from Python 3.12 on,
+        # which moves some coefficients, and so R, by an ulp between versions
+        acc = 0.0
+        for n in range(j, 6):
+            acc += (-1) ** n * q ** (n * (n + 1) - shift)
+        return acc
 
     t = tuple(tail(j, 0) for j in range(4)) + tuple(tail(j, j) for j in range(1, 4))
     n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(

@@ -1,10 +1,11 @@
 """Cross-checks: closed forms vs the theta-quotient evaluator vs a
 half-argument (bisection) oracle, plus the geometric claims, in one
-machine-readable report. `verify_grid` builds each input once and every check
-reads it. Node (m, n) is z = (m*omega1 + n*omega2)/4, so row n runs along
-+omega2 (`orientation_flipped` is always false). Every comparison of one
-value of R with another takes the worst scaled error |a - b| / max(1, |a|)
-over its pairs against a limit.
+machine-readable report. `verify_grid` builds each input once, evaluates R
+at its nodes and inversion lines in one kernel call, and every check reads
+them. Node (m, n) is z = (m*omega1 + n*omega2)/4, so row n runs along +omega2
+(`orientation_flipped` is always false). Every comparison of one value of R
+with another takes the worst scaled error |a - b| / max(1, |a|) over its
+pairs against a limit.
 
 The half-argument oracle rebuilds the base block m, n <= 4 of the grid from
 the exact half-period seeds (0, -beta, -1/beta, pole) using only the halving
@@ -104,7 +105,9 @@ class VerificationReport(
     def to_json(self) -> str:
         """The report as text, byte-identical to
         json.dumps(self.to_json_obj(), indent=2), written in one pass through
-        fixed templates rather than through the indenting encoder."""
+        fixed templates rather than through the indenting encoder, with one
+        repr per distinct magnitude."""
+        num = _Reprs().num
         return _REPORT % (
             _num(self.beta),
             _num(self.tol),
@@ -115,10 +118,10 @@ class VerificationReport(
                     c.m,
                     c.n,
                     _json_str(c.symbol),
-                    _nv_text(c.closed),
-                    _nv_text(c.numeric),
-                    _finite_text(c.abs_err),
-                    _finite_text(c.rel_err),
+                    _nv_text(c.closed, num),
+                    _nv_text(c.numeric, num),
+                    num(c.abs_err, _finite_text),
+                    num(c.rel_err, _finite_text),
                 )
                 for c in self.per_node
             ]),
@@ -176,12 +179,37 @@ def _finite_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
 
 
-def _nv_text(v) -> str:
+class _Reprs(dict):
+    """repr of each float magnitude that one `to_json` call writes.
+
+    repr(-x) is "-" + repr(x) for finite x != 0, so a negative number shares
+    its magnitude's entry. Zeros (a key 0.0 would also match -0.0), NaN,
+    +-inf and non-floats (a key 1.0 would also match 1) are not memoized.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = repr(x)
+        return text
+
+    def num(self, x: float, other=_num) -> str:
+        """x as `other` writes it, `_num` by default; a memoized magnitude
+        is written only once per `to_json` call."""
+        if x.__class__ is float:
+            if 0.0 < x < math.inf:
+                return self[x]
+            if -math.inf < x < 0.0:
+                return "-" + self[-x]
+        return other(x)
+
+
+def _nv_text(v, num) -> str:
     if v is None:
         return '"inconclusive"'
     if v is POLE:
         return '"pole"'
-    return _VALUE % (_num(v.real), _num(v.imag))
+    return _VALUE % (num(v.real), num(v.imag))
 
 
 def _array(blocks: list) -> str:
@@ -192,22 +220,27 @@ def _node_z(lat: Lattice, m: int, n: int) -> complex:
     return complex(m * lat.omega1 / 4.0, n * lat.omega2_im / 4.0)
 
 
-def _scaled_err(closed: complex, other: complex) -> float:
-    return abs(closed - other) / max(1.0, abs(closed))
+def _worst(refs, others) -> float:
+    """The largest scaled error |a - b| / max(1, |a|) over the aligned a in
+    refs and b in others, 0.0 if none. Pairs holding a pole or an
+    inconclusive None are skipped, and a NaN error never wins."""
+    worst = 0.0
+    for a, b in zip(refs, others):
+        if a is None or b is None or a is POLE or b is POLE:
+            continue
+        d = abs(a - b)
+        s = abs(a)
+        err = d / s if s > 1.0 else d
+        if err > worst:
+            worst = err
+    return worst
 
 
 def _worst_check(
-    name: str, limit: float, label: str, pairs, note: str = ""
+    name: str, limit: float, label: str, worst: float, note: str = ""
 ) -> PropertyResult:
-    """Pass when the largest `_scaled_err` over (reference, other) pairs is
-    within limit. Pairs holding a pole or an inconclusive None are skipped; a
-    non-empty note names nodes that could not be compared, and fails."""
-    errs = [
-        _scaled_err(a, b)
-        for a, b in pairs
-        if not (a is None or b is None or a is POLE or b is POLE)
-    ]
-    worst = max([0.0, *errs])
+    """Pass when the worst scaled error is within limit. A non-empty note
+    names nodes that could not be compared, and fails."""
     passed = worst <= limit and not note
     return PropertyResult(name, passed, f"{label} {worst:.3e}{note}")
 
@@ -391,45 +424,37 @@ def verify_claims(
 # ---------------------------------------------------------------------------
 # grid verification
 
-def _line_inversion_checks(params: CurveParams, lat: Lattice) -> list[PropertyResult]:
-    """Each mirror circle's inversion maps line k of its family onto line
-    8 - k at the same parameter; spot-check lines k = 2, 4, 6 at 17 samples
-    each, the three lines of a family in one kernel call.
+def _report_points(lat: Lattice) -> list:
+    """The 183 points of a report's one kernel call: the 81 nodes (m outer,
+    n inner), then red lines k = 2, 4, 6 and then blue lines k = 2, 4, 6 at
+    17 samples each.
 
-    Red line k is Im z = k*omega2/8, and conjugation then the omega2
-    translation (inversion in |R + beta| = beta/delta) sends it onto red
-    line 8 - k. Blue line k is Re z = k*omega1/8, and conjugation then the
-    omega1 translation (inversion in |R| = 1) sends it onto Re z =
-    (8 + k)*omega1/8 with the parameter reflected, which is blue line 8 - k
-    at the same parameter because R is even and 2*omega1-periodic.
+    Each mirror circle's inversion maps line k of its family onto line
+    8 - k at the same parameter. Red line k is Im z = k*omega2/8, and
+    conjugation then the omega2 translation (inversion in
+    |R + beta| = beta/delta) sends it onto red line 8 - k. Blue line k is
+    Re z = k*omega1/8, and conjugation then the omega1 translation
+    (inversion in |R| = 1) sends it onto Re z = (8 + k)*omega1/8 with the
+    parameter reflected, which is blue line 8 - k at the same parameter
+    because R is even and 2*omega1-periodic.
     """
     w1, w2i = lat.omega1, lat.omega2_im
+    lines = [(k, j) for k in (2, 4, 6) for j in range(17)]
+    return (
+        [_node_z(lat, m, n) for m in range(9) for n in range(9)]
+        + [complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0) for k, j in lines]
+        + [complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0) for k, j in lines]
+    )
 
-    def check(name, point, invert):
-        vals = essential_R_values(
-            [point(k, j) for k in (2, 4, 6) for j in range(17)], lat
-        )
-        # line 8 - k for each line k: lines 6, 4, 2
-        targets = vals[34:] + vals[17:34] + vals[:17]
-        return _worst_check(
-            name,
-            INVERSION_TOL,
-            "lines k=2,4,6 vs k=6,4,2 (same parameter), max rel err",
-            zip(targets, invert(vals)),
-        )
 
-    return [
-        check(
-            "red_circle_inverts_red_lines",
-            lambda k, j: complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0),
-            lambda vals: invert_omega2(vals, params),
-        ),
-        check(
-            "blue_circle_inverts_blue_lines",
-            lambda k, j: complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0),
-            invert_omega1,
-        ),
-    ]
+def _inversion_check(name: str, vals: list, inverted: list) -> PropertyResult:
+    """Lines 6, 4, 2 of vals against inverted, the inversion of lines 2, 4, 6."""
+    return _worst_check(
+        name,
+        INVERSION_TOL,
+        "lines k=2,4,6 vs k=6,4,2 (same parameter), max rel err",
+        _worst(vals[34:] + vals[17:34] + vals[:17], inverted),
+    )
 
 
 def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
@@ -439,37 +464,41 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     params = derive_params(beta)
     lat = compute_lattice(params)
     table = grid_table(params)
-    numeric = [
-        essential_R_values([_node_z(lat, m, n) for n in range(9)], lat)
-        for m in range(9)
-    ]
+    vals = essential_R_values(_report_points(lat), lat)
+    numeric = [vals[i : i + 9] for i in range(0, 81, 9)]
+    red, blue = vals[81:132], vals[132:]
     oracle = half_argument_oracle(params, lat)
 
     # one pass over the nodes: closed forms vs the evaluator against tol, and
-    # the pairs that all three sources must agree on
+    # the worst pairwise error of the nodes where all three sources are finite
     per_node = []
-    triples = []
+    triple = 0.0
     bad = []
     inconclusive = []
-    for n in range(9):
-        for m in range(9):
-            closed, num, orc = table.value(m, n), numeric[m][n], oracle[m][n]
-            if (closed is POLE) != (num is POLE):
-                abs_err = rel_err = math.inf
-            elif closed is POLE:
-                abs_err = rel_err = 0.0
-            else:
-                abs_err = abs(closed - num)
-                rel_err = _scaled_err(closed, num)
-            per_node.append(
-                NodeCheck(m, n, table.symbol(m, n), closed, num, abs_err, rel_err)
-            )
-            if orc is None:
-                inconclusive.append((m, n))
-            elif len({closed is POLE, num is POLE, orc is POLE}) == 2:
-                bad.append((m, n))
-            else:
-                triples += ((closed, num), (closed, orc), (num, orc))
+    for m, n, symbol, closed in table:
+        num, orc = numeric[m][n], oracle[m][n]
+        if (closed is POLE) != (num is POLE):
+            abs_err = rel_err = math.inf
+        elif closed is POLE:
+            abs_err = rel_err = 0.0
+        else:
+            abs_err = d = abs(closed - num)
+            s = abs(closed)
+            rel_err = d / s if s > 1.0 else d
+        per_node.append(NodeCheck(m, n, symbol, closed, num, abs_err, rel_err))
+        if orc is None:
+            inconclusive.append((m, n))
+        elif len({closed is POLE, num is POLE, orc is POLE}) == 2:
+            bad.append((m, n))
+        elif orc is not POLE:  # all three finite, and s = |closed|
+            d = abs(closed - orc)
+            err_closed = d / s if s > 1.0 else d
+            d = abs(num - orc)
+            s_num = abs(num)
+            err_num = d / s_num if s_num > 1.0 else d
+            for err in (rel_err, err_closed, err_num):
+                if err > triple:
+                    triple = err
     note = ""
     if inconclusive:
         note += f"; inconclusive oracle nodes {inconclusive}"
@@ -482,28 +511,32 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             "triple_source_agreement",
             TRIPLE_TOL,
             "max pairwise scaled err",
-            triples,
+            triple,
             note,
         ),
         _worst_check(
             "oracle_matches_closed_on_axes",
             AXES_TOL,
             "max scaled err",
-            ((table.value(m, n), oracle[m][n]) for m, n in axes),
+            _worst(
+                [table.value(m, n) for m, n in axes], [oracle[m][n] for m, n in axes]
+            ),
         ),
-        # Schwarz reflection between mirror rows
+        # Schwarz reflection between mirror rows: node (m, n) against the
+        # conjugate of node (m, 8 - n)
         _worst_check(
             "conjugate_node_consistency",
             CONJ_TOL,
             "max scaled err",
-            (
-                (a, b.conjugate())
-                for col in numeric
-                for a, b in zip(col, reversed(col))
-                if not (a is POLE or b is POLE)
+            _worst(
+                vals[:81],
+                [v if v is POLE else v.conjugate() for col in numeric for v in col[::-1]],
             ),
         ),
-        *_line_inversion_checks(params, lat),
+        _inversion_check(
+            "red_circle_inverts_red_lines", red, invert_omega2(red, params)
+        ),
+        _inversion_check("blue_circle_inverts_blue_lines", blue, invert_omega1(blue)),
     ]
 
     nodes_pass = all(c.rel_err <= tol for c in per_node)

@@ -346,6 +346,27 @@ def test_list_kernel_covers_both_orientations():
     assert rotated == {False, True}
 
 
+ORDER_SENSITIVE_BETA = 3.1168935563024984
+
+
+@pytest.mark.parametrize("beta", [ORDER_SENSITIVE_BETA, *KERNEL_BETAS])
+def test_theta_coefficients_are_left_to_right_sums(beta):
+    # each series coefficient adds its terms in order, so R does not depend
+    # on the Python version: from 3.12 on the builtin sum() compensates float
+    # addition, and at ORDER_SENSITIVE_BETA that moves t[0] by one ulp
+    theta = compute_lattice(derive_params(beta)).theta
+    q = theta.q
+    tails = [(j, 0) for j in range(4)] + [(j, j) for j in range(1, 4)]
+    for (j, shift), got in zip(tails, theta.t):
+        terms = [(-1) ** n * q ** (n * (n + 1) - shift) for n in range(j, 6)]
+        acc = 0.0
+        for term in terms:
+            acc += term
+        assert got == acc, (beta, j, shift)
+        if beta == ORDER_SENSITIVE_BETA and j == 0:
+            assert acc != math.fsum(terms)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_non_finite_points_raise_the_same_error(p3, lat3, bad, part):

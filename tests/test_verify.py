@@ -162,13 +162,15 @@ def test_to_json_matches_json_dumps_at_seeded_betas(monkeypatch):
 
 def test_to_json_matches_json_dumps_on_edge_values():
     # every value kind a node can hold, non-finite errors and complex parts,
-    # signed zeros, and strings that need escaping
+    # signed zeros, strings that need escaping, and int errors equal to
+    # floats written before them
     odd = 'q" b\\ \x07 \x7f \u03b2 \U0001d53c'
     nodes = (
         NodeCheck(0, 0, odd, POLE, POLE, 0.0, 0.0),
         NodeCheck(1, 0, "a", None, complex(-0.0, 0.0), math.inf, math.inf),
         NodeCheck(0, 1, "b", POLE, complex(math.nan, math.inf), math.nan, -1.0),
         NodeCheck(8, 8, "c", complex(-math.inf, -0.0), 5e-324j, 1e300, -math.inf),
+        NodeCheck(2, 0, "d", complex(1.0, -2.5), complex(-1.0, 2.5), 1, -1),
     )
     props = (
         PropertyResult(odd, True, "tab\there"),
@@ -376,8 +378,8 @@ def test_report_evaluates_each_point_once(monkeypatch):
     # inversion family: the claims read node (2,2) from the numeric grid, and
     # the blue check pairs its lines like the red one, so no line is
     # evaluated twice. The centers are nodes too, but they need R', which the
-    # grid does not hold. The grid takes one kernel call per column and each
-    # inversion family one for its three lines.
+    # grid does not hold. The grid and both inversion families share one
+    # kernel call of 183 points.
     calls = []
     sizes = []
     for name in ("essential_R", "log_deriv_sq"):
@@ -398,7 +400,7 @@ def test_report_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(octell.verify, "essential_R_values", counted_values)
     assert verify_grid(3.0).passed
     assert len(calls) == 81 + 4 + 2 * 3 * 17 == 187
-    assert sizes == [9] * 9 + [3 * 17] * 2
+    assert sizes == [81 + 2 * 3 * 17] == [183]
     assert len(set(calls)) == 187 - 4
 
 
@@ -494,7 +496,7 @@ def test_sweep_steps_must_be_an_int(steps):
 
 # --- the report against a pairwise reference ---------------------------------
 #
-# The check path as it was written pair by pair: one `_scaled_err` call per
+# A reference check path that works pair by pair: one `_scaled_err` call per
 # pair, a worst-of-pairs `_worst_check`, one kernel call per numeric column
 # and per inversion family, and the nodes' pairs collected for triple
 # agreement. verify_grid must give the same record and the same JSON text.
