@@ -341,6 +341,104 @@ def test_list_kernel_matches_wp_pair_bit_for_bit(beta):
     assert [repr(essential_R(z, lat, p)) for z in pts] == want
 
 
+def _ref_snap(x, y, gx, gy, eps, beta):
+    if math.hypot(x, y) <= eps:
+        return POLE
+    if math.hypot(gx, y) <= eps:
+        return 0j
+    if math.hypot(x, gy) <= eps:
+        return complex(-beta)
+    if math.hypot(gx, gy) <= eps:
+        return complex(-1.0 / beta)
+    return None
+
+
+def _ref_wp_pair(z, theta):
+    # the joint (R, R') kernel as a separate point-at-a-time function, kept
+    # verbatim as the reference for the single kernel loop
+    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    eps = 2e-12 * (w2i if w1 <= w2i else w1)
+    x = math.remainder(z.real, 2.0 * w1)
+    y = math.remainder(z.imag, 2.0 * w2i)
+    gx = w1 - abs(x)
+    gy = w2i - abs(y)
+    if (abs(x) <= eps or gx <= eps) and (abs(y) <= eps or gy <= eps):
+        v = _ref_snap(x, y, gx, gy, eps, beta)
+        if v is not None:
+            return v, (POLE if v is POLE else 0j)
+
+    if rotated:
+        s, t = -k2 * abs(x), -k2 * abs(y)
+    else:
+        s, t = -k2 * abs(y), k2 * abs(x)
+    e = math.exp(s)
+    c = math.cos(t)
+    sn = math.sin(t)
+    h = math.sin(0.5 * t)
+    b = complex(e * c, e * sn)
+    bm1 = complex(math.expm1(s) * c - 2.0 * h * h, e * sn)
+    qe = q / e
+    a = complex(qe * c, -qe * sn)
+    b2 = b * b
+    a2 = a * a
+    b3 = b2 * b
+    a3 = a2 * a
+
+    c0, c1, c2, c3, d1, d2, d3 = t_coeffs
+    t1 = c1 * b
+    s1 = d1 * a
+    t2 = c2 * b2
+    s2 = d2 * a2
+    t3 = c3 * b3
+    s3 = d3 * a3
+    even = c0 + t2 + s2
+    odd = t1 + s1 + t3 + s3
+    deven = 2.0 * (t2 - s2)
+    dodd = t1 - s1 + 3.0 * (t3 - s3)
+    tp = even + odd
+    den = bm1 * tp
+    dden = b * tp + bm1 * (deven + dodd)
+    if rotated:
+        c0, c1, c2, c3, d1, d2, d3 = n_coeffs
+        t1 = c1 * b
+        s1 = d1 * a
+        t2 = c2 * b2
+        s2 = d2 * a2
+        t3 = c3 * b3
+        s3 = d3 * a3
+        u = (c0 + t2 + s2 + (t1 + s1 + t3 + s3)) / den
+        g = inv_sqrt_q * b * u
+        r = g * u
+        dn = 2.0 * (t2 - s2) + (t1 - s1 + 3.0 * (t3 - s3))
+        dr = -k2 * g * (u + 2.0 * (dn - u * dden) / den)
+    else:
+        tm = even - odd
+        bp1 = b + 1.0
+        u = bp1 * tm / den
+        r = -u * u
+        dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
+
+    if (x < 0.0) != (y < 0.0):
+        r, dr = r.conjugate(), dr.conjugate()
+    if x < 0.0:
+        dr = -dr
+    if y == 0.0 or gy == 0.0:
+        r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
+    elif x == 0.0 or gx == 0.0:
+        r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
+    return r, dr
+
+
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_joint_kernel_matches_reference_bit_for_bit(beta):
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    pts = kernel_points(lat, seed=15)
+    ref = [_ref_wp_pair(z, lat.theta) for z in pts]
+    assert [repr(_backend.wp_pair(z, lat.theta)) for z in pts] == list(map(repr, ref))
+    assert [repr(wp_prime(z, lat, p)) for z in pts] == [repr(dr) for _, dr in ref]
+
+
 def test_list_kernel_covers_both_orientations():
     rotated = {compute_lattice(derive_params(b)).theta.rotated for b in KERNEL_BETAS}
     assert rotated == {False, True}
