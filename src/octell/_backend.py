@@ -4,18 +4,17 @@ There is one implementation, in pure Python; `BACKEND` names it in reports.
 `evaluate` and `lattice` look `wp_values`, `wp_pair`, `agm` and `lattice_sum`
 up on this module at call time, which gives profilers one place to wrap them.
 
-R has two entries, chosen by whether the caller needs R':
-- `wp_values(points, theta)` returns R alone at a list of points, in one
-  loop with the lattice set-up done once. `essential_R` (one point),
-  `essential_R_values` (the figure's quarter lines, and one call per verify
-  report for its nodes and inversion lines) and the lattice-sum oracle's
-  pole test call it.
-- `wp_pair(z, theta)` returns (R, R') at one point, for `wp_with_prime`,
-  `wp_prime` and `log_deriv_sq`.
-Both reduce, snap and restore signs the same way, through one `_snap` rule,
-and `wp_values` gives `wp_pair`'s R bit for bit.
+One loop, `wp_values(points, theta, prime=False)`, evaluates R. It reduces
+each point into the cell, snaps lattice points and half-periods through one
+`_snap` rule, sums the theta series and restores signs, with the lattice
+set-up done once per call. R alone serves `essential_R` (one point),
+`essential_R_values` (the figure's quarter lines, and one call per verify
+report for its nodes and inversion lines) and the lattice-sum oracle's pole
+test. With prime it returns (R, R') pairs, R' from b d/db of the same series
+terms; `wp_pair(z, theta)` is that call at one point, for `wp_with_prime`,
+`wp_prime` and `log_deriv_sq`.
 
-The kernels evaluate R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
+The kernel evaluates R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
 R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
 
     wp(z) - e1 = (pi/2w)^2 (theta3(0) theta4(0) theta2(v) / theta1(v))^2,
@@ -52,7 +51,7 @@ remainder rounds ties to even, so a point on a cell edge reduces to x = -w1
 or +w1 by the parity of its period count; the fold takes |x| and the sign
 restore uses only that R is even and periodic, so both give the same R, R'.
 
-The kernels return the answer itself: R = POLE (and R' = POLE) at lattice
+The kernel returns the answer itself: R = POLE (and R' = POLE) at lattice
 points and the exact root values R = 0, -beta, -1/beta (with R' = 0) at the
 half-periods omega1, omega2, omega1 + omega2, the paper's seeds for every
 eighth-lattice value.
@@ -62,6 +61,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from math import cos, exp, expm1, remainder, sin
 
 BACKEND = "pure"
 
@@ -90,7 +90,7 @@ def agm(a: float, b: float) -> float:
 class ThetaConstants(
     namedtuple("ThetaConstants", "w1 w2i beta rotated k2 q inv_sqrt_q t n")
 ):
-    """Per-lattice constants of `wp_values` and `wp_pair`.
+    """Per-lattice constants of the kernel `wp_values`.
 
     - w1, w2i: the half-periods.
     - beta: the curve parameter, for the exact values -beta and -1/beta at
@@ -113,7 +113,7 @@ class ThetaConstants(
 
 
 def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
-    """The constants the kernels need for the lattice (2*w1, 2i*w2i)."""
+    """The constants the kernel needs for the lattice (2*w1, 2i*w2i)."""
     rotated = w1 > w2i
     short, long_ = (w2i, w1) if rotated else (w1, w2i)
     q = math.exp(-math.pi * long_ / short)
@@ -147,8 +147,8 @@ def _snap(x: float, y: float, gx: float, gy: float, eps: float, beta: float):
     x + iy, exactly: POLE, 0, -beta or -1/beta; None when there is none.
 
     gx, gy are the gaps w1 - |x|, w2i - |y| to the cell edges. A snap needs
-    (|x| <= eps or gx <= eps) and (|y| <= eps or gy <= eps), which the kernels
-    test first: hypot(a, b) >= |a|, |b|.
+    (|x| <= eps or gx <= eps) and (|y| <= eps or gy <= eps), which the kernel
+    tests first: hypot(a, b) >= |a|, |b|.
     """
     if math.hypot(x, y) <= eps:
         return POLE
@@ -161,120 +161,40 @@ def _snap(x: float, y: float, gx: float, gy: float, eps: float, beta: float):
     return None
 
 
-def wp_pair(z: complex, theta: ThetaConstants):
-    """(R(z), R'(z)) with R = wp - e1, on the lattice of `theta`.
+def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
+    """[R(z) for z in points] with R = wp - e1 on the lattice of `theta`, in
+    one loop; with prime, [(R(z), R'(z)) for z in points].
 
-    Both are POLE at lattice points; at the half-periods omega1, omega2 and
-    omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0. z is
-    reduced into the cell exactly, so these snaps hold far from the origin.
-    """
-    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
-    # snap radius: 1e-12 of the longer period, above the reduction's error
-    # m (2 w - fl(2 w)) plus the rounding of z itself up to about 2,000 periods
-    eps = 2e-12 * (w2i if w1 <= w2i else w1)
-    # reduce to the cell, exactly: z minus the nearest multiple of each double
-    # period (ties to even; an edge point lands on +w or -w, and R, R' agree)
-    x = math.remainder(z.real, 2.0 * w1)
-    y = math.remainder(z.imag, 2.0 * w2i)
-    gx = w1 - abs(x)   # gap to the vertical cell edge
-    gy = w2i - abs(y)
-    if (abs(x) <= eps or gx <= eps) and (abs(y) <= eps or gy <= eps):
-        v = _snap(x, y, gx, gy, eps, beta)
-        if v is not None:
-            return v, (POLE if v is POLE else 0j)
-
-    # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
-    if rotated:
-        s, t = -k2 * abs(x), -k2 * abs(y)
-    else:
-        s, t = -k2 * abs(y), k2 * abs(x)
-    e = math.exp(s)
-    c = math.cos(t)
-    sn = math.sin(t)
-    h = math.sin(0.5 * t)
-    b = complex(e * c, e * sn)
-    bm1 = complex(math.expm1(s) * c - 2.0 * h * h, e * sn)
-    qe = q / e
-    a = complex(qe * c, -qe * sn)
-    b2 = b * b
-    a2 = a * a
-    b3 = b2 * b
-    a3 = a2 * a
-
-    # t(b): even and odd parts, then those of b d/db
-    c0, c1, c2, c3, d1, d2, d3 = t_coeffs
-    t1 = c1 * b
-    s1 = d1 * a
-    t2 = c2 * b2
-    s2 = d2 * a2
-    t3 = c3 * b3
-    s3 = d3 * a3
-    even = c0 + t2 + s2
-    odd = t1 + s1 + t3 + s3
-    deven = 2.0 * (t2 - s2)
-    dodd = t1 - s1 + 3.0 * (t3 - s3)
-    tp = even + odd
-    den = bm1 * tp                                  # theta1 without its prefactor
-    dden = b * tp + bm1 * (deven + dodd)            # b d(den)/db
-    if rotated:
-        # R = b theta4^2 / (sqrt(q) den^2), theta4(v) = n(b)
-        c0, c1, c2, c3, d1, d2, d3 = n_coeffs
-        t1 = c1 * b
-        s1 = d1 * a
-        t2 = c2 * b2
-        s2 = d2 * a2
-        t3 = c3 * b3
-        s3 = d3 * a3
-        u = (c0 + t2 + s2 + (t1 + s1 + t3 + s3)) / den
-        g = inv_sqrt_q * b * u
-        r = g * u
-        dn = 2.0 * (t2 - s2) + (t1 - s1 + 3.0 * (t3 - s3))   # b d(n)/db
-        dr = -k2 * g * (u + 2.0 * (dn - u * dden) / den)
-    else:
-        # R = -(num / den)^2 with num = (b + 1) t(-b), theta2 without its prefactor
-        tm = even - odd
-        bp1 = b + 1.0
-        u = bp1 * tm / den
-        r = -u * u
-        dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
-
-    if (x < 0.0) != (y < 0.0):
-        r, dr = r.conjugate(), dr.conjugate()
-    if x < 0.0:
-        dr = -dr
-    # zeroed after the sign restore, so that a zero part is +0.0
-    if y == 0.0 or gy == 0.0:     # real axis, Im z = w2i: R and R' real
-        r, dr = complex(r.real, 0.0), complex(dr.real, 0.0)
-    elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R real, R' imaginary
-        r, dr = complex(r.real, 0.0), complex(0.0, dr.imag)
-    return r, dr
-
-
-def wp_values(points, theta: ThetaConstants) -> list:
-    """[R(z) for z in points] on the lattice of `theta`, in one loop.
-
-    Bit for bit `wp_pair(z, theta)[0]`: the same reduction, snaps, sign
-    restore and axis zeroing, and the R half of the same series in the same
-    order, without R'. The lattice set-up is done once per call.
+    R is POLE at lattice points, and so is R'; at the half-periods omega1,
+    omega2 and omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0.
+    z is reduced into the cell exactly, so these snaps hold far from the
+    origin. The lattice set-up is done once per call. R' is b d/db of the
+    same series terms, and R is the same bit for bit with or without it.
     """
     w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
     c0, c1, c2, c3, d1, d2, d3 = t_coeffs
     n0, n1, n2, n3, m1, m2, m3 = n_coeffs
+    # snap radius: 1e-12 of the longer period, above the reduction's error
+    # m (2 w - fl(2 w)) plus the rounding of z itself up to about 2,000 periods
     eps = 2e-12 * (w2i if w1 <= w2i else w1)
     px, py = 2.0 * w1, 2.0 * w2i
-    remainder, exp, expm1, cos, sin = math.remainder, math.exp, math.expm1, math.cos, math.sin
     out = []
     for z in points:
+        # reduce to the cell, exactly: z minus the nearest multiple of each
+        # double period (ties to even; an edge point lands on +w or -w, and
+        # R, R' agree)
         x = remainder(z.real, px)
         y = remainder(z.imag, py)
         ax, ay = abs(x), abs(y)
-        gx = w1 - ax
+        gx = w1 - ax   # gap to the vertical cell edge
         gy = w2i - ay
         if (ax <= eps or gx <= eps) and (ay <= eps or gy <= eps):
             v = _snap(x, y, gx, gy, eps, beta)
             if v is not None:
-                out.append(v)
+                out.append((v, POLE if v is POLE else 0j) if prime else v)
                 continue
+
+        # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
         if rotated:
             s, t = -k2 * ax, -k2 * ay
         else:
@@ -291,21 +211,66 @@ def wp_values(points, theta: ThetaConstants) -> list:
         a2 = a * a
         b3 = b2 * b
         a3 = a2 * a
-        even = c0 + c2 * b2 + d2 * a2
-        odd = c1 * b + d1 * a + c3 * b3 + d3 * a3
-        den = bm1 * (even + odd)
+        # the terms of t(b), and its even and odd parts
+        t1 = c1 * b
+        s1 = d1 * a
+        t2 = c2 * b2
+        s2 = d2 * a2
+        t3 = c3 * b3
+        s3 = d3 * a3
+        even = c0 + t2 + s2
+        odd = t1 + s1 + t3 + s3
+        tp = even + odd
+        den = bm1 * tp                                  # theta1 without its prefactor
         if rotated:
-            u = (n0 + n2 * b2 + m2 * a2 + (n1 * b + m1 * a + n3 * b3 + m3 * a3)) / den
-            r = inv_sqrt_q * b * u * u
+            # R = b theta4^2 / (sqrt(q) den^2), theta4(v) = n(b)
+            nb1 = n1 * b
+            na1 = m1 * a
+            nb2 = n2 * b2
+            na2 = m2 * a2
+            nb3 = n3 * b3
+            na3 = m3 * a3
+            u = (n0 + nb2 + na2 + (nb1 + na1 + nb3 + na3)) / den
+            g = inv_sqrt_q * b * u
+            r = g * u
         else:
-            u = (b + 1.0) * (even - odd) / den
+            # R = -(num / den)^2 with num = (b + 1) t(-b), theta2 without its prefactor
+            tm = even - odd
+            bp1 = b + 1.0
+            u = bp1 * tm / den
             r = -u * u
         if (x < 0.0) != (y < 0.0):
             r = r.conjugate()
+        # R is real on the axes and the cell edges; zeroed after the sign
+        # restore, so that a zero part is +0.0
         if x == 0.0 or y == 0.0 or gx == 0.0 or gy == 0.0:
             r = complex(r.real, 0.0)
+        if prime:
+            # R' = i k2 b dR/db (-k2 b dR/db rotated), from b d/db of the terms above
+            deven = 2.0 * (t2 - s2)
+            dodd = t1 - s1 + 3.0 * (t3 - s3)
+            dden = b * tp + bm1 * (deven + dodd)            # b d(den)/db
+            if rotated:
+                dn = 2.0 * (nb2 - na2) + (nb1 - na1 + 3.0 * (nb3 - na3))   # b d(n)/db
+                dr = -k2 * g * (u + 2.0 * (dn - u * dden) / den)
+            else:
+                dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
+            if (x < 0.0) != (y < 0.0):
+                dr = dr.conjugate()
+            if x < 0.0:
+                dr = -dr
+            if y == 0.0 or gy == 0.0:     # real axis, Im z = w2i: R' real
+                dr = complex(dr.real, 0.0)
+            elif x == 0.0 or gx == 0.0:   # imaginary axis, Re z = w1: R' imaginary
+                dr = complex(0.0, dr.imag)
+            r = r, dr
         out.append(r)
     return out
+
+
+def wp_pair(z: complex, theta: ThetaConstants):
+    """(R(z), R'(z)) at one point, from `wp_values`."""
+    return wp_values((z,), theta, True)[0]
 
 
 def lattice_sum(z: complex, w1: float, w2i: float, cutoff: int) -> complex:

@@ -7,7 +7,8 @@ exact values 0, -beta, -1/beta at the half-periods, and otherwise the theta
 quotient (DLMF §23.6(i), series from §20.2(i)). `essential_R` and the list
 form `essential_R_values` need R alone and make one `_backend.wp_values`
 call, for one point or a whole list; `wp_with_prime`, `wp_prime` and
-`log_deriv_sq` need R' too and make one `_backend.wp_pair` call per point.
+`log_deriv_sq` need R' too and make one `_backend.wp_pair` call, the same
+loop at one point with R' from the same series terms.
 `wp` adds e1 = alpha. `POLE` is the kernel's marker, re-exported here.
 `conj` and `mirror_block` are the one conjugation and the one
 quarter-to-grid mirror of the closed-form table and the half-argument oracle;
@@ -19,6 +20,7 @@ slow independent cross-check.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import _backend
 from ._backend import POLE
@@ -46,19 +48,15 @@ def conj(v: NodeValue) -> NodeValue:
     return v if v is POLE else v.conjugate() + 0.0
 
 
-def mirror_block(block: list, image: list, rows: int = 9, cols: int = 9) -> list:
-    """The rows x cols grid from its quarter block, image its entry-wise mirror.
+def mirror_block(block: list, image: list) -> list:
+    """The 9x9 node grid from its 5x5 quarter block, image its entry-wise mirror.
 
     R is even and R(conj z) = conj R(z): with e the entry at (i, j) and e' its
-    image, (rows - 1 - i, j) and (i, cols - 1 - j) get e', and
-    (rows - 1 - i, cols - 1 - j) gets e. The block holds the first
-    rows - rows // 2 rows and cols - cols // 2 entries of each.
+    image, (8 - i, j) and (i, 8 - j) get e', and (8 - i, 8 - j) gets e.
     """
-    r = rows - len(block)
-    c = cols - len(block[0])
     pairs = list(zip(block, image))
-    return [[*b, *reversed(m[:c])] for b, m in pairs] + [
-        [*m, *reversed(b[:c])] for b, m in reversed(pairs[:r])
+    return [[*b, *reversed(m[:4])] for b, m in pairs] + [
+        [*m, *reversed(b[:4])] for b, m in reversed(pairs[:4])
     ]
 
 
@@ -151,7 +149,7 @@ def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
 def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
     """Direct lattice sum for wp(z): slow, independent of the theta path."""
     z = _check_z(z)
-    cutoff = int(cutoff)
+    cutoff = operator.index(cutoff)   # 10.9 or "12" raises TypeError, not truncated
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
     if _backend.wp_values((z,), lat.theta)[0] is POLE:

@@ -305,12 +305,6 @@ def _mirror_or_none(B):
     return mirror_block(B, [[None if v is None else conj(v) for v in row] for row in B])
 
 
-# the halving order: quarter-period nodes from the mirrored seeds, then the
-# odd nodes of the base block from the mirrored even block
-_QUARTER_NODES = ((2, 0), (0, 2), (2, 2), (4, 2), (2, 4))
-_ODD_NODES = tuple((m, n) for m in range(5) for n in range(5) if m % 2 or n % 2)
-
-
 def half_argument_oracle(params: CurveParams, lat: Lattice):
     """9x9 array (indexed [m][n]) of node values derived without the evaluator.
 
@@ -321,11 +315,16 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4
     # exact half-period seeds
     B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
-    for nodes in (_QUARTER_NODES, _ODD_NODES):
+    # each level halves the nodes on its step that the level before left
+    # empty, from that level's mirrored grid: the quarter-period nodes from
+    # the seeds, then the odd nodes from the even block
+    for step in (2, 1):
         grid = _mirror_or_none(B)
-        for m, n in nodes:
-            src = grid[2 * m][2 * n]
-            B[m][n] = None if src is None else _halve_branch(src, m, n, params)
+        for m in range(0, 5, step):
+            for n in range(0, 5, step):
+                if m % (2 * step) or n % (2 * step):
+                    src = grid[2 * m][2 * n]
+                    B[m][n] = None if src is None else _halve_branch(src, m, n, params)
     return _mirror_or_none(B)
 
 

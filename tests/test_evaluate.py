@@ -297,7 +297,7 @@ def test_snaps_are_exact_far_from_the_origin(beta):
     assert misses == []
 
 
-# --- the R-only list kernel against the joint one ---------------------------
+# --- the kernel loop, with and without R' -----------------------------------
 
 KERNEL_BETAS = [1.0 + 1e-6, 1.2, GOLDEN_BETA, 3.0, 50.0, 1e6, 1e12]
 
@@ -436,6 +436,7 @@ def test_joint_kernel_matches_reference_bit_for_bit(beta):
     pts = kernel_points(lat, seed=15)
     ref = [_ref_wp_pair(z, lat.theta) for z in pts]
     assert [repr(_backend.wp_pair(z, lat.theta)) for z in pts] == list(map(repr, ref))
+    assert list(map(repr, _backend.wp_values(pts, lat.theta, True))) == list(map(repr, ref))
     assert [repr(wp_prime(z, lat, p)) for z in pts] == [repr(dr) for _, dr in ref]
 
 
@@ -548,6 +549,9 @@ def test_lattice_sum_rejects_bad_input(lat3):
         wp_lattice_sum_oracle(0j, lat3, cutoff=50)
     with pytest.raises(ValueError):
         wp_lattice_sum_oracle(2.0 * lat3.omega1 + 0j, lat3, cutoff=50)
+    for bad in (10.5, "12"):   # not truncated or parsed into a cutoff
+        with pytest.raises(TypeError):
+            wp_lattice_sum_oracle(complex(0.5, 0.5), lat3, cutoff=bad)
 
 
 # --- log-derivative ---------------------------------------------------------
