@@ -315,9 +315,9 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4
     # exact half-period seeds
     B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
-    # each level halves the nodes on its step that the level before left
-    # empty, from that level's mirrored grid: the quarter-period nodes from
-    # the seeds, then the odd nodes from the even block
+    # each level halves the nodes new on its step, from the mirrored grid of
+    # the level before: the quarter-period nodes from the seeds, then the odd
+    # nodes from the even block
     for step in (2, 1):
         grid = _mirror_or_none(B)
         for m in range(0, 5, step):
