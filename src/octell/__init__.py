@@ -1,10 +1,11 @@
 """Shifted Weierstrass functions on rectangular lattices: closed-form node
 tables, numeric evaluation, cross-verification and figure rendering.
 
-Importing the package is lazy. `import octell` loads only the numeric kernel
-`octell._backend`; each other name of `__all__` is imported from its
-submodule the first time it is looked up, through the module `__getattr__`
-(PEP 562), and then bound here. `from octell import X`, `from octell import *`
+Importing the package is lazy. `import octell` loads only `octell._backend`,
+the period lattice and its numeric kernel; each other name of `__all__` is
+imported from its submodule the first time it is looked up, through the
+module `__getattr__` (PEP 562), and then bound here. `POLE`, `Lattice`, `agm`
+and `compute_lattice` come from `_backend` itself and load nothing more. `from octell import X`, `from octell import *`
 and `octell.X` all work as with eager imports, and `dir(octell)` lists
 `__all__`.
 """
@@ -24,10 +25,10 @@ def backend() -> str:
 _LAZY = {
     "CurveParams": "params",
     "derive_params": "params",
-    "Lattice": "lattice",
-    "agm": "lattice",
-    "compute_lattice": "lattice",
-    "POLE": "evaluate",
+    "Lattice": "_backend",
+    "agm": "_backend",
+    "compute_lattice": "_backend",
+    "POLE": "_backend",
     "is_pole": "evaluate",
     "wp": "evaluate",
     "wp_prime": "evaluate",

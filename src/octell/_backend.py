@@ -1,8 +1,9 @@
-"""Numeric kernels: AGM, R and R' evaluation, lattice sum.
+"""The period lattice and its kernels: AGM, `Lattice`, R and R', lattice sum.
 
 There is one implementation, in pure Python; `BACKEND` names it in reports.
-`evaluate` and `lattice` look `wp_values`, `wp_pair`, `agm` and `lattice_sum`
-up on this module at call time, which gives profilers one place to wrap them.
+`compute_lattice` and `evaluate` look `agm`, `wp_values`, `wp_pair` and
+`lattice_sum` up on this module at call time, which gives profilers one
+place to wrap them.
 
 One loop, `wp_values(points, theta, prime=False)`, evaluates R. It reduces
 each point into the cell, snaps lattice points and half-periods through one
@@ -23,7 +24,7 @@ R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
 with the theta series of DLMF §20.2(i). The half-period w is always the
 shorter one, so q <= exp(-pi) and a few terms reach full precision. q must
 be a normal float, which holds for beta up to about 1.67e153; beyond that
-`theta_constants` raises ValueError rather than lose the answer's digits.
+`Lattice.theta` raises ValueError rather than lose the answer's digits.
 
 - w1 <= w2i: the formula above, with w = w1.
 - w1 > w2i: rotate the lattice by i. wp(z; L) = -wp(iz; iL), and on iL the
@@ -61,6 +62,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import cached_property
 from math import cos, exp, expm1, remainder, sin
 
 BACKEND = "pure"
@@ -79,7 +81,10 @@ POLE = _Pole()
 
 
 def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of positive a, b."""
+    """Arithmetic-geometric mean; a, b must be positive and finite."""
+    a, b = float(a), float(b)
+    if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"agm needs positive finite inputs, got ({a!r}, {b!r})")
     for _ in range(64):
         if abs(a - b) <= 4.0 * math.ulp(abs(a)):
             return a
@@ -112,34 +117,70 @@ class ThetaConstants(
     __slots__ = ()
 
 
-def theta_constants(w1: float, w2i: float, beta: float) -> ThetaConstants:
-    """The constants the kernel needs for the lattice (2*w1, 2i*w2i)."""
-    rotated = w1 > w2i
-    short, long_ = (w2i, w1) if rotated else (w1, w2i)
-    q = math.exp(-math.pi * long_ / short)
-    if q < sys.float_info.min:
-        # a subnormal q has lost relative precision, and a zero one divides
-        raise ValueError(
-            f"beta = {beta!r} is out of range: the theta nome "
-            f"exp(-pi*{long_ / short:.6g}) underflows (beta up to about 1.67e153)"
+class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
+    """Half-periods of the curve with parameter beta, rectangular for beta > 1.
+
+    - omega1: the real half-period, > 0.
+    - omega2_im: the imaginary part of the purely imaginary half-period.
+    - beta: the curve parameter, > 1. It rides along so that the kernel can
+      return the exact half-period values -beta and -1/beta itself.
+
+    There is no `__slots__ = ()`: `theta` caches its value in the instance
+    `__dict__`, which `__setattr__` keeps closed to every other write.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def omega2(self) -> complex:
+        return complex(0.0, self.omega2_im)
+
+    @cached_property
+    def theta(self) -> ThetaConstants:
+        """Constants of the theta-quotient kernel, computed once per lattice;
+        ValueError past beta of about 1.67e153, where the nome q underflows."""
+        w1, w2i, beta = self
+        rotated = w1 > w2i
+        short, long_ = (w2i, w1) if rotated else (w1, w2i)
+        q = math.exp(-math.pi * long_ / short)
+        if q < sys.float_info.min:
+            # a subnormal q has lost relative precision, and a zero one divides
+            raise ValueError(
+                f"beta = {beta!r} is out of range: the theta nome "
+                f"exp(-pi*{long_ / short:.6g}) underflows (beta up to about 1.67e153)"
+            )
+
+        def tail(j, shift):
+            # sum over n >= j of (-1)^n q^(n(n+1) - shift), added left to right:
+            # the builtin sum() compensates float addition from Python 3.12 on,
+            # which moves some coefficients, and so R, by an ulp between versions
+            acc = 0.0
+            for n in range(j, 6):
+                acc += (-1) ** n * q ** (n * (n + 1) - shift)
+            return acc
+
+        t = tuple(tail(j, 0) for j in range(4)) + tuple(tail(j, j) for j in range(1, 4))
+        n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(
+            (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
+        )
+        return ThetaConstants(
+            w1, w2i, beta, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n
         )
 
-    def tail(j, shift):
-        # sum over n >= j of (-1)^n q^(n(n+1) - shift), added left to right:
-        # the builtin sum() compensates float addition from Python 3.12 on,
-        # which moves some coefficients, and so R, by an ulp between versions
-        acc = 0.0
-        for n in range(j, 6):
-            acc += (-1) ** n * q ** (n * (n + 1) - shift)
-        return acc
 
-    t = tuple(tail(j, 0) for j in range(4)) + tuple(tail(j, j) for j in range(1, 4))
-    n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(
-        (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
-    )
-    return ThetaConstants(
-        w1, w2i, beta, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n
-    )
+def compute_lattice(params) -> Lattice:
+    """The lattice of the curve `params` (a `CurveParams`), by the classical
+    AGM reduction of the complete elliptic integrals over the root gaps
+    e1-e3 = beta, e1-e2 = 1/beta, e2-e3 = d."""
+    beta = params.beta
+    sb = math.sqrt(beta)
+    w1 = math.pi / (2.0 * agm(sb, 1.0 / sb))
+    w2i = math.pi / (2.0 * agm(sb, math.sqrt(params.d)))
+    return Lattice(w1, w2i, beta)
 
 
 def _snap(x: float, y: float, gx: float, gy: float, eps: float, beta: float):

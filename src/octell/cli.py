@@ -10,7 +10,7 @@ import functools
 import sys
 
 from . import __version__
-from ._backend import BACKEND
+from ._backend import BACKEND, compute_lattice
 from .evaluate import (
     _nv_json,
     essential_R,
@@ -19,7 +19,6 @@ from .evaluate import (
     wp,
     wp_prime,
 )
-from .lattice import compute_lattice
 from .params import GOLDEN_BETA, derive_params
 from .radicals import grid_table
 
@@ -239,10 +238,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_z(argv) -> list[str]:
+    """argv with `--z v` written `--z=v`: argparse takes a word with a leading
+    '-', such as `-0.5+0.25i` or `-i`, for an option unless it is joined."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):   # from the end: a join shifts only later words
+        if out[i] == "--z":
+            out[i : i + 2] = [f"--z={out[i + 1]}"]
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_z(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

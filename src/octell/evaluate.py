@@ -23,8 +23,7 @@ import math
 import operator
 
 from . import _backend
-from ._backend import POLE
-from .lattice import Lattice
+from ._backend import POLE, Lattice
 from .params import CurveParams
 
 NodeValue = complex | type(POLE)

@@ -22,6 +22,8 @@ import math
 import operator
 from collections import namedtuple
 
+from ._backend import compute_lattice
+
 # essential_R is bound here, though unused, for the benchmark tracer, which
 # wraps it where figure and verify look it up
 from .evaluate import (  # noqa: F401
@@ -31,7 +33,6 @@ from .evaluate import (  # noqa: F401
     invert_omega1,
     invert_omega2,
 )
-from .lattice import compute_lattice
 from .params import GOLDEN_BETA, derive_params
 
 RED = "#c1272d"

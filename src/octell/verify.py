@@ -28,6 +28,7 @@ import operator
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
+from ._backend import Lattice, compute_lattice
 from .evaluate import (
     POLE,
     _nv_json,
@@ -39,7 +40,6 @@ from .evaluate import (
     log_deriv_sq,
     mirror_block,
 )
-from .lattice import Lattice, compute_lattice
 from .params import CurveParams, derive_params
 from .radicals import ClosedFormTable, grid_table
 
@@ -460,6 +460,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     """Verify all 81 grid nodes and the named identity properties for one beta."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = float(tol)   # a bool or Fraction tol would reach the JSON as itself
     params = derive_params(beta)
     lat = compute_lattice(params)
     table = grid_table(params)

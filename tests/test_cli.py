@@ -147,6 +147,18 @@ def test_eval_pole(capsys):
     assert obj["value"] == "pole"
 
 
+@pytest.mark.parametrize("z", ["-0.5+0.25i", "-i", "-2.5i", "-2"])
+def test_eval_z_with_a_leading_minus_as_a_separate_word(capsys, z):
+    # argparse reads a separate word with a leading '-' as an option unless
+    # `run` joins it to `--z`; `-2` alone got through as a negative number
+    code = run(["eval", "--beta", "3", "--z", z, "--what", "wp_prime"])
+    out = capsys.readouterr().out
+    joined = run(["eval", "--beta", "3", f"--z={z}", "--what", "wp_prime"])
+    assert (code, out) == (joined, capsys.readouterr().out)
+    assert code == 0
+    assert json.loads(out)["z"] == {"re": parse_complex(z).real, "im": parse_complex(z).imag}
+
+
 def test_eval_bad_literal(capsys):
     assert run(["eval", "--z", "2e5"]) == 2
     assert "complex literal" in capsys.readouterr().err

@@ -61,6 +61,14 @@ def test_import_octell_loads_only_the_kernel():
     assert loaded == {"octell._backend"}
 
 
+def test_lattice_and_pole_load_only_the_kernel():
+    loaded = {
+        m for m in _fresh("import octell; octell.POLE; octell.Lattice")
+        if m.startswith("octell.")
+    }
+    assert loaded == {"octell._backend"}
+
+
 def test_star_import_binds_all():
     ns = {}
     exec("from octell import *", ns)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+import octell
+import octell._backend
 from octell import agm, compute_lattice, derive_params
 
 pos = st.floats(min_value=1e-3, max_value=1e3)
@@ -56,6 +58,24 @@ def test_agm_between_geometric_and_arithmetic_mean(a, b):
 def test_agm_domain(a, b):
     with pytest.raises(ValueError):
         agm(a, b)
+
+
+def test_compute_lattice_calls_agm_through_the_backend_module(monkeypatch):
+    # the benchmark tracer wraps octell._backend.agm (`pycore.agm`) and must
+    # see both of compute_lattice's calls
+    assert octell.agm is octell._backend.agm
+    assert octell.Lattice is octell._backend.Lattice
+    assert octell.compute_lattice is octell._backend.compute_lattice
+    calls = []
+    real = octell._backend.agm
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(octell._backend, "agm", counted)
+    compute_lattice(derive_params(3.0))
+    assert len(calls) == 2
 
 
 def test_agm_integral_identity():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,17 @@ def test_verify_grid_rejects_non_finite_tol(tol):
     # all, and the report could not state it as an RFC 8259 number
     with pytest.raises(ValueError, match="finite and positive"):
         verify_grid(3.0, tol=tol)
+
+
+@pytest.mark.parametrize("tol, want", [(True, 1.0), (Fraction(1, 10**9), 1e-9), (1, 1.0)])
+def test_verify_grid_writes_a_json_number_for_any_real_tol(tol, want):
+    # a bool or Fraction tol once reached the report as `True` or
+    # `Fraction(1, 1000000000)`, which is not JSON
+    rep = verify_grid(3.0, tol)
+    assert type(rep.tol) is float and rep.tol == want
+    text = rep.to_json()
+    assert json.loads(text)["tol"] == want
+    assert text == json.dumps(rep.to_json_obj(), indent=2)
 
 
 def test_report_json_shape():
