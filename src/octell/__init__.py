@@ -5,9 +5,9 @@ Importing the package is lazy. `import octell` loads only `octell._backend`,
 the period lattice and its numeric kernel; each other name of `__all__` is
 imported from its submodule the first time it is looked up, through the
 module `__getattr__` (PEP 562), and then bound here. `POLE`, `Lattice`, `agm`
-and `compute_lattice` come from `_backend` itself and load nothing more. `from octell import X`, `from octell import *`
-and `octell.X` all work as with eager imports, and `dir(octell)` lists
-`__all__`.
+and `compute_lattice` come from `_backend` itself and load nothing more.
+`from octell import X`, `from octell import *` and `octell.X` all work as
+with eager imports, and `dir(octell)` lists `__all__`.
 """
 from __future__ import annotations
 

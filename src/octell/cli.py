@@ -242,7 +242,8 @@ def _join_z(argv) -> list[str]:
     """argv with `--z v` written `--z=v`: argparse takes a word with a leading
     '-', such as `-0.5+0.25i` or `-i`, for an option unless it is joined."""
     out = list(argv)
-    for i in range(len(out) - 2, -1, -1):   # from the end: a join shifts only later words
+    # from the end, so that a join shifts only the words already visited
+    for i in range(len(out) - 2, -1, -1):
         if out[i] == "--z":
             out[i : i + 2] = [f"--z={out[i + 1]}"]
     return out

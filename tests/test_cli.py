@@ -156,7 +156,8 @@ def test_eval_z_with_a_leading_minus_as_a_separate_word(capsys, z):
     joined = run(["eval", "--beta", "3", f"--z={z}", "--what", "wp_prime"])
     assert (code, out) == (joined, capsys.readouterr().out)
     assert code == 0
-    assert json.loads(out)["z"] == {"re": parse_complex(z).real, "im": parse_complex(z).imag}
+    want = parse_complex(z)
+    assert json.loads(out)["z"] == {"re": want.real, "im": want.imag}
 
 
 def test_eval_bad_literal(capsys):

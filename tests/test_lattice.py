@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-import octell
 import octell._backend
 from octell import agm, compute_lattice, derive_params
 

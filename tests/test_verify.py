@@ -67,7 +67,9 @@ def test_verify_grid_rejects_non_finite_tol(tol):
         verify_grid(3.0, tol=tol)
 
 
-@pytest.mark.parametrize("tol, want", [(True, 1.0), (Fraction(1, 10**9), 1e-9), (1, 1.0)])
+@pytest.mark.parametrize(
+    "tol, want", [(True, 1.0), (Fraction(1, 10**9), 1e-9), (1, 1.0)]
+)
 def test_verify_grid_writes_a_json_number_for_any_real_tol(tol, want):
     # a bool or Fraction tol once reached the report as `True` or
     # `Fraction(1, 1000000000)`, which is not JSON
