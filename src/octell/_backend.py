@@ -63,7 +63,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import cached_property
-from math import cos, exp, expm1, remainder, sin
+from math import cos, exp, expm1, nan, remainder, sin
 
 BACKEND = "pure"
 
@@ -112,6 +112,13 @@ class ThetaConstants(
     With |a|, |b| <= 1 the j-th terms are bounded by q^(j^2) or q^(j(j+-1)),
     so every term left out is below q^12 <= exp(-12 pi) < 4.3e-17, against
     sums of size about 1.
+
+    t, n and inv_sqrt_q hold complex numbers x + 0j, so that every series
+    term is complex x complex. CPython 3.10-3.13 turn a float operand of
+    complex arithmetic into complex(x, 0.0) and then run the same product or
+    sum, so R is the same bit for bit as with float coefficients, and the
+    mixed float-complex dispatch is skipped at every term; it also keeps R's
+    bits from depending on how a version promotes a float operand.
     """
 
     __slots__ = ()
@@ -141,9 +148,18 @@ class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
 
     @cached_property
     def theta(self) -> ThetaConstants:
-        """Constants of the theta-quotient kernel, computed once per lattice;
-        ValueError past beta of about 1.67e153, where the nome q underflows."""
+        """Constants of the theta-quotient kernel, computed once per lattice.
+
+        ValueError for a half-period that is not finite and positive or a
+        beta that is not finite and > 1 (a hand-built record), and past beta
+        of about 1.67e153, where the nome q underflows.
+        """
         w1, w2i, beta = self
+        for name, w in (("omega1", w1), ("omega2_im", w2i)):
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"{name} must be positive and finite, got {w!r}")
+        if not (beta > 1.0 and math.isfinite(beta)):
+            raise ValueError(f"beta must be a finite number > 1, got {beta!r}")
         rotated = w1 > w2i
         short, long_ = (w2i, w1) if rotated else (w1, w2i)
         q = math.exp(-math.pi * long_ / short)
@@ -163,12 +179,14 @@ class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
                 acc += (-1) ** n * q ** (n * (n + 1) - shift)
             return acc
 
-        t = tuple(tail(j, 0) for j in range(4)) + tuple(tail(j, j) for j in range(1, 4))
-        n = tuple((-1) ** j * q ** (j * j) for j in range(4)) + tuple(
+        t = [tail(j, 0) for j in range(4)] + [tail(j, j) for j in range(1, 4)]
+        n = [(-1) ** j * q ** (j * j) for j in range(4)] + [
             (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
-        )
+        ]
+        # complex-typed, so that each series term is complex x complex
         return ThetaConstants(
-            w1, w2i, beta, rotated, math.pi / short, q, 1.0 / math.sqrt(q), t, n
+            w1, w2i, beta, rotated, math.pi / short, q, complex(1.0 / math.sqrt(q)),
+            tuple(map(complex, t)), tuple(map(complex, n)),
         )
 
 
@@ -211,14 +229,28 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     z is reduced into the cell exactly, so these snaps hold far from the
     origin. The lattice set-up is done once per call. R' is b d/db of the
     same series terms, and R is the same bit for bit with or without it.
+
+    Every constant of the loop is complex-typed (see `ThetaConstants`), which
+    gives the same bits as float constants. b = exp(s + it) is built from the
+    folded coordinates s and t, and along a line of the figure or of a
+    verify report one of them is the same at every point: exp(s), expm1(s)
+    and q/exp(s) are recomputed only when s differs from the previous
+    point's, and cos(t), sin(t) and 2 sin^2(t/2) only when t does. Equal
+    inputs give equal values, so this too keeps the bits.
     """
     w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
     c0, c1, c2, c3, d1, d2, d3 = t_coeffs
     n0, n1, n2, n3, m1, m2, m3 = n_coeffs
+    one, two, three = 1 + 0j, 2 + 0j, 3 + 0j
+    if prime:
+        # the factor of R' below: -k2 on the rotated lattice, else -2i k2
+        dfac = complex(-k2) if rotated else complex(0.0, -2.0 * k2)
     # snap radius: 1e-12 of the longer period, above the reduction's error
     # m (2 w - fl(2 w)) plus the rounding of z itself up to about 2,000 periods
     eps = 2e-12 * (w2i if w1 <= w2i else w1)
     px, py = 2.0 * w1, 2.0 * w2i
+    # the previous point's s and t; NaN compares unequal to every s and t
+    s_prev = t_prev = nan
     out = []
     for z in points:
         # reduce to the cell, exactly: z minus the nearest multiple of each
@@ -235,18 +267,27 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
                 out.append((v, POLE if v is POLE else 0j) if prime else v)
                 continue
 
-        # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b
+        # b = exp(2iv) = exp(s + it) at the folded point |x| + i|y|; a = q/b.
+        # s and t are +-k2 |x| or +-k2 |y| with one sign per lattice, so a
+        # zero s or t always has the same sign, and s == s_prev (t == t_prev)
+        # only for the same float: reusing the values below keeps the bits
         if rotated:
             s, t = -k2 * ax, -k2 * ay
         else:
             s, t = -k2 * ay, k2 * ax
-        e = exp(s)
-        c = cos(t)
-        sn = sin(t)
-        h = sin(0.5 * t)
+        if s != s_prev:
+            s_prev = s
+            e = exp(s)
+            em1 = expm1(s)
+            qe = q / e
+        if t != t_prev:
+            t_prev = t
+            c = cos(t)
+            sn = sin(t)
+            h = sin(0.5 * t)
+            h2 = 2.0 * h * h
         b = complex(e * c, e * sn)
-        bm1 = complex(expm1(s) * c - 2.0 * h * h, e * sn)
-        qe = q / e
+        bm1 = complex(em1 * c - h2, e * sn)
         a = complex(qe * c, -qe * sn)
         b2 = b * b
         a2 = a * a
@@ -277,7 +318,7 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
         else:
             # R = -(num / den)^2 with num = (b + 1) t(-b), theta2 without its prefactor
             tm = even - odd
-            bp1 = b + 1.0
+            bp1 = b + one
             u = bp1 * tm / den
             r = -u * u
         if (x < 0.0) != (y < 0.0):
@@ -288,14 +329,14 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
             r = complex(r.real, 0.0)
         if prime:
             # R' = i k2 b dR/db (-k2 b dR/db rotated), from b d/db of the terms above
-            deven = 2.0 * (t2 - s2)
-            dodd = t1 - s1 + 3.0 * (t3 - s3)
+            deven = two * (t2 - s2)
+            dodd = t1 - s1 + three * (t3 - s3)
             dden = b * tp + bm1 * (deven + dodd)            # b d(den)/db
             if rotated:
-                dn = 2.0 * (nb2 - na2) + (nb1 - na1 + 3.0 * (nb3 - na3))   # b d(n)/db
-                dr = -k2 * g * (u + 2.0 * (dn - u * dden) / den)
+                dn = two * (nb2 - na2) + (nb1 - na1 + three * (nb3 - na3))   # b d(n)/db
+                dr = dfac * g * (u + two * (dn - u * dden) / den)
             else:
-                dr = complex(0.0, -2.0 * k2) * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
+                dr = dfac * u * (b * tm + bp1 * (deven - dodd) - u * dden) / den
             if (x < 0.0) != (y < 0.0):
                 dr = dr.conjugate()
             if x < 0.0:

@@ -64,9 +64,12 @@ def invert_omega1(values: list) -> list:
     exactly.
 
     The inversion in the unit circle |R| = 1, onto which R maps Re z = omega1/2.
+    Its constants are complex-typed, as in the kernel: the same bits as float
+    ones, without the mixed float-complex dispatch.
     """
+    zero, one = 0j, 1 + 0j
     return [
-        0j if v is POLE else POLE if v == 0 else 1.0 / (v.conjugate() + 0.0)
+        zero if v is POLE else POLE if v == zero else one / (v.conjugate() + zero)
         for v in values
     ]
 
@@ -77,13 +80,14 @@ def invert_omega2(values: list, par: CurveParams) -> list:
     With c = conj(v), -beta + beta*d/(c + beta) is computed as
     -beta*p/(p + d), p = c + 1/beta, which subtracts no nearly equal numbers
     at large beta (beta - d = 1/beta). The inversion in the red circle
-    |R + beta| = beta/delta, onto which R maps Im z = omega2/2.
+    |R + beta| = beta/delta, onto which R maps Im z = omega2/2. Its constants
+    are complex-typed, as in `invert_omega1`.
     """
-    nb, ib, d = -par.beta, 1.0 / par.beta, par.d
-    at_pole = complex(nb)
+    zero = 0j
+    nb, ib, d = complex(-par.beta), complex(1.0 / par.beta), complex(par.d)
     return [
-        at_pole if v is POLE
-        else POLE if v == nb or (den := (p := v.conjugate() + 0.0 + ib) + d) == 0
+        nb if v is POLE
+        else POLE if v == nb or (den := (p := v.conjugate() + zero + ib) + d) == zero
         else nb * p / den
         for v in values
     ]

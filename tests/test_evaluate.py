@@ -204,6 +204,41 @@ def test_translations_at_half_periods(beta):
     assert at_zero == pytest.approx(-1.0 / beta, rel=1e-15)
 
 
+def _ref_invert_omega1(values):
+    # the earlier float-constant form, kept verbatim as the bit-for-bit reference
+    return [
+        0j if v is POLE else POLE if v == 0 else 1.0 / (v.conjugate() + 0.0)
+        for v in values
+    ]
+
+
+def _ref_invert_omega2(values, par):
+    # the earlier float-constant form, kept verbatim as the bit-for-bit reference
+    nb, ib, d = -par.beta, 1.0 / par.beta, par.d
+    at_pole = complex(nb)
+    return [
+        at_pole if v is POLE
+        else POLE if v == nb or (den := (p := v.conjugate() + 0.0 + ib) + d) == 0
+        else nb * p / den
+        for v in values
+    ]
+
+
+def test_inversions_match_float_constant_reference_bit_for_bit():
+    # the complex-typed constants of invert_omega1/2 give the float ones' bits
+    rng = random.Random(21)
+    for beta in [GOLDEN_BETA, 3.0] + [1.0 + 10.0 ** rng.uniform(-6.0, 12.0) for _ in range(8)]:
+        p = derive_params(beta)
+        lat = compute_lattice(p)
+        values = [POLE, 0j, complex(-beta), complex(-1.0 / beta), complex(1.0 / beta)]
+        values += [complex(x, y) for x in (0.0, -0.0, 0.5, -beta) for y in (0.0, -0.0, -2.0)]
+        values += essential_R_values(kernel_points(lat, seed=22), lat)
+        got1, want1 = invert_omega1(values), _ref_invert_omega1(values)
+        got2, want2 = invert_omega2(values, p), _ref_invert_omega2(values, p)
+        assert list(map(repr, got1)) == list(map(repr, want1)), beta
+        assert list(map(repr, got2)) == list(map(repr, want2)), beta
+
+
 def test_conj_keeps_pole_and_zero_signs(p3, lat3):
     # the one conjugation the table, the oracle and the figure mirror with:
     # POLE stays POLE, R(conj z) = conj R(z) bit for bit, no -0.0 part
@@ -355,8 +390,12 @@ def _ref_snap(x, y, gx, gy, eps, beta):
 
 def _ref_wp_pair(z, theta):
     # the joint (R, R') kernel as a separate point-at-a-time function, kept
-    # verbatim as the reference for the single kernel loop
+    # verbatim as the reference for the single kernel loop, with float
+    # coefficients and float constants: .real of the complex-typed ones
     w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    inv_sqrt_q = inv_sqrt_q.real
+    t_coeffs = [c.real for c in t_coeffs]
+    n_coeffs = [c.real for c in n_coeffs]
     eps = 2e-12 * (w2i if w1 <= w2i else w1)
     x = math.remainder(z.real, 2.0 * w1)
     y = math.remainder(z.imag, 2.0 * w2i)
@@ -440,6 +479,46 @@ def test_joint_kernel_matches_reference_bit_for_bit(beta):
     assert [repr(wp_prime(z, lat, p)) for z in pts] == [repr(dr) for _, dr in ref]
 
 
+def line_runs(lat, seed):
+    """Runs of points along lines, which share a folded coordinate from one
+    point to the next: fixed Re z or Im z, crossing the axes and the cell
+    edges, x next to -x, +-0.0 parts, and runs a few periods out."""
+    rng = random.Random(seed)
+    w1, w2 = lat.omega1, lat.omega2_im
+    pts = []
+    for _ in range(6):
+        x, y = rng.uniform(-w1, w1), rng.uniform(-w2, w2)
+        # across both axes and both cell edges of each direction
+        pts += [complex(x, j / 32 * w2) for j in range(-40, 41)]
+        pts += [complex(j / 32 * w1, y) for j in range(-40, 41)]
+        # x next to -x and y next to -y: the same folded coordinates
+        pts += [complex(x, y), complex(-x, y), complex(-x, -y), complex(x, -y), complex(x, y)]
+        # +-0.0 and the cell edges as the fixed coordinate
+        for fixed in (0.0, -0.0, w1, -w1):
+            pts += [complex(fixed, j / 8 * w2) for j in range(-9, 10)]
+        for fixed in (0.0, -0.0, w2, -w2):
+            pts += [complex(j / 8 * w1, fixed) for j in range(-9, 10)]
+        pts += [complex(zero, y) for zero in (0.0, -0.0, 0.0)]
+        pts += [complex(x, zero) for zero in (-0.0, 0.0, -0.0)]
+        # a few periods out, on and off the line of the run before
+        m, n = rng.randint(-5, 5), rng.randint(-5, 5)
+        pts += [complex(x + 2 * m * w1, y + j / 16 * w2) for j in range(17)]
+        pts += [complex(x + j / 16 * w1, y + 2 * n * w2) for j in range(17)]
+        pts += [complex(x + 2 * m * w1, y + 2 * n * w2), complex(x, y)]
+    return pts
+
+
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_kernel_reuse_along_lines_matches_reference_bit_for_bit(beta):
+    # wp_values reuses exp, expm1, cos and sin from the previous point when a
+    # folded coordinate repeats; the point-at-a-time reference recomputes them
+    lat = compute_lattice(derive_params(beta))
+    pts = line_runs(lat, seed=20)
+    ref = [_ref_wp_pair(z, lat.theta) for z in pts]
+    assert list(map(repr, _backend.wp_values(pts, lat.theta, True))) == list(map(repr, ref))
+    assert list(map(repr, _backend.wp_values(pts, lat.theta))) == [repr(r) for r, _ in ref]
+
+
 def test_list_kernel_covers_both_orientations():
     rotated = {compute_lattice(derive_params(b)).theta.rotated for b in KERNEL_BETAS}
     assert rotated == {False, True}
@@ -455,6 +534,9 @@ def test_theta_coefficients_are_left_to_right_sums(beta):
     # addition, and at ORDER_SENSITIVE_BETA that moves t[0] by one ulp
     theta = compute_lattice(derive_params(beta)).theta
     q = theta.q
+    # complex-typed with a +0.0 imaginary part, as the kernel multiplies them
+    for c in (theta.inv_sqrt_q, *theta.t, *theta.n):
+        assert type(c) is complex and repr(c.imag) == "0.0"
     tails = [(j, 0) for j in range(4)] + [(j, j) for j in range(1, 4)]
     for (j, shift), got in zip(tails, theta.t):
         terms = [(-1) ** n * q ** (n * (n + 1) - shift) for n in range(j, 6)]

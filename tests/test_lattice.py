@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import octell._backend
-from octell import agm, compute_lattice, derive_params
+from octell import Lattice, agm, compute_lattice, derive_params, essential_R
 
 pos = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -131,3 +131,15 @@ def test_period_rectangle_shape(beta):
     lat = compute_lattice(derive_params(beta))
     assert lat.omega1 > 0.0
     assert lat.omega2_im > 0.0
+
+
+@pytest.mark.parametrize("fields", [
+    (1.4, -1.9, 3.0), (-1.4, 1.9, 3.0), (0.0, 1.9, 3.0), (math.nan, 1.0, 3.0),
+    (1.4, math.inf, 3.0), (1.4, 1.9, 1.0), (1.4, 1.9, 0.5), (1.4, 1.9, math.nan),
+    (1.4, 1.9, math.inf),
+])
+def test_hand_built_lattice_with_bad_fields_raises(fields):
+    # a negative period made the nome > 1 and R tiny (9.4e-44-4.8e-44j at
+    # the first one), a NaN one made R NaN; the check runs in Lattice.theta
+    with pytest.raises(ValueError, match="omega1|omega2_im|beta"):
+        essential_R(0.3 + 0.2j, Lattice(*fields), derive_params(3.0))
