@@ -2,10 +2,11 @@
 tables, numeric evaluation, cross-verification and figure rendering.
 
 Importing the package is lazy. `import octell` loads only `octell._backend`,
-the period lattice and its numeric kernel; each other name of `__all__` is
-imported from its submodule the first time it is looked up, through the
-module `__getattr__` (PEP 562), and then bound here. `POLE`, `Lattice`, `agm`
-and `compute_lattice` come from `_backend` itself and load nothing more.
+the curve, its period lattice and its numeric kernel; each other name of
+`__all__` is imported from its submodule the first time it is looked up,
+through the module `__getattr__` (PEP 562), and then bound here.
+`CurveParams`, `derive_params`, `POLE`, `Lattice`, `agm` and
+`compute_lattice` come from `_backend` itself and load nothing more.
 `from octell import X`, `from octell import *` and `octell.X` all work as
 with eager imports, and `dir(octell)` lists `__all__`.
 """
@@ -23,8 +24,8 @@ def backend() -> str:
 
 # each lazily imported public name -> the submodule that defines it
 _LAZY = {
-    "CurveParams": "params",
-    "derive_params": "params",
+    "CurveParams": "_backend",
+    "derive_params": "_backend",
     "Lattice": "_backend",
     "agm": "_backend",
     "compute_lattice": "_backend",

@@ -1,9 +1,12 @@
-"""The period lattice and its kernels: AGM, `Lattice`, R and R', lattice sum.
+"""The curve, its period lattice and its kernel: from beta to R.
 
 There is one implementation, in pure Python; `BACKEND` names it in reports.
-`compute_lattice` and `evaluate` look `agm`, `wp_values`, `wp_pair` and
-`lattice_sum` up on this module at call time, which gives profilers one
-place to wrap them.
+`derive_params` turns beta into the scalar constants of the curve
+R'^2 = 4 R (R + beta) (R + 1/beta) (`CurveParams`), `compute_lattice` turns
+those into its half-periods by the AGM (`Lattice`), and `Lattice.theta`
+into the constants of the kernel. `compute_lattice` and `evaluate` look
+`agm`, `wp_values` and `wp_pair` up on this module at call time, which gives
+profilers one place to wrap them.
 
 One loop, `wp_values(points, theta, prime=False)`, evaluates R. It reduces
 each point into the cell, snaps lattice points and half-periods through one
@@ -78,6 +81,50 @@ class _Pole:
 
 
 POLE = _Pole()
+
+
+# the default beta of the CLI and the figure: the golden ratio squared
+GOLDEN_BETA = (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def _check_beta(beta: float) -> None:
+    """The curve's domain rule, for `derive_params` and a hand-built `Lattice`."""
+    if not (math.isfinite(beta) and beta > 1.0):
+        raise ValueError(f"beta must be a finite number > 1 (got {beta!r})")
+
+
+class CurveParams(
+    namedtuple("CurveParams", "beta alpha d delta e1 e2 e3 g2 g3 discriminant_sqrt")
+):
+    """The scalar constants of one curve, all floats: the shift alpha that
+    centres the Weierstrass cubic, the root gap d = beta - 1/beta, the circle
+    ratio delta = sqrt(beta/d), the cubic roots e1 > e2 > e3 and the
+    invariants g2, g3 of 4x^3 - g2 x - g3."""
+
+    __slots__ = ()
+
+
+def derive_params(beta: float) -> CurveParams:
+    """Derive every scalar constant from beta.
+
+    Raises ValueError for beta <= 1: the period lattice is only guaranteed
+    rectangular, and the radical formulas only real-branched, for beta > 1.
+    """
+    beta = float(beta)
+    _check_beta(beta)
+    inv = 1.0 / beta
+    alpha = (beta + inv) / 3.0
+    # (beta - 1)(1 + 1/beta) rather than beta - 1/beta: beta - 1 is exact
+    # near 1, where the difference would cancel most of d's digits
+    d = (beta - 1.0) * (1.0 + inv)
+    delta = (beta / d) ** 0.5
+    e1 = alpha
+    e2 = alpha - inv
+    e3 = alpha - beta
+    g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
+    g3 = 4.0 * e1 * e2 * e3
+    # discriminant of the monic cubic x(x+beta)(x+1/beta) is d^2
+    return CurveParams(beta, alpha, d, delta, e1, e2, e3, g2, g3, d)
 
 
 def agm(a: float, b: float) -> float:
@@ -158,8 +205,7 @@ class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
         for name, w in (("omega1", w1), ("omega2_im", w2i)):
             if not (w > 0.0 and math.isfinite(w)):
                 raise ValueError(f"{name} must be positive and finite, got {w!r}")
-        if not (beta > 1.0 and math.isfinite(beta)):
-            raise ValueError(f"beta must be a finite number > 1, got {beta!r}")
+        _check_beta(beta)
         rotated = w1 > w2i
         short, long_ = (w2i, w1) if rotated else (w1, w2i)
         q = math.exp(-math.pi * long_ / short)
@@ -353,27 +399,3 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
 def wp_pair(z: complex, theta: ThetaConstants):
     """(R(z), R'(z)) at one point, from `wp_values`."""
     return wp_values((z,), theta, True)[0]
-
-
-def lattice_sum(z: complex, w1: float, w2i: float, cutoff: int) -> complex:
-    """Direct Eisenstein-style sum 1/z^2 + sum [1/(z-w)^2 - 1/w^2] in
-    growing-shell order over w = 2*m*w1 + 2i*n*w2i, 0 < max(|m|,|n|) <= cutoff."""
-    acc = 1.0 / (z * z)
-    tw1 = 2.0 * w1
-    tw2 = 2.0 * w2i
-    for s in range(1, cutoff + 1):
-        ring = 0j
-        for m in range(-s, s + 1):
-            wr = tw1 * m
-            for n in (s, -s):
-                w = complex(wr, tw2 * n)
-                dz = z - w
-                ring += 1.0 / (dz * dz) - 1.0 / (w * w)
-        for n in range(-(s - 1), s):
-            wi = tw2 * n
-            for m in (s, -s):
-                w = complex(tw1 * m, wi)
-                dz = z - w
-                ring += 1.0 / (dz * dz) - 1.0 / (w * w)
-        acc += ring
-    return acc

@@ -10,7 +10,7 @@ import functools
 import sys
 
 from . import __version__
-from ._backend import BACKEND, compute_lattice
+from ._backend import BACKEND, GOLDEN_BETA, compute_lattice, derive_params
 from .evaluate import (
     _nv_json,
     essential_R,
@@ -19,7 +19,6 @@ from .evaluate import (
     wp,
     wp_prime,
 )
-from .params import GOLDEN_BETA, derive_params
 from .radicals import grid_table
 
 # argparse, json and the verify and figure modules are imported by the

@@ -15,7 +15,8 @@ quarter-to-grid mirror of the closed-form table and the half-argument oracle;
 `invert_omega1` and `invert_omega2` are the paper's two circle inversions,
 the half-period translations composed with conjugation, over a list of values,
 for the figure and the verifier's line checks. `wp_lattice_sum_oracle` is the
-slow independent cross-check.
+slow independent cross-check: it sums the lattice directly, and uses the
+kernel only to reject a lattice point.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ import math
 import operator
 
 from . import _backend
-from ._backend import POLE, Lattice
-from .params import CurveParams
+from ._backend import POLE, CurveParams, Lattice
 
 NodeValue = complex | type(POLE)
 
@@ -150,11 +150,33 @@ def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
 
 
 def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:
-    """Direct lattice sum for wp(z): slow, independent of the theta path."""
+    """Direct lattice sum for wp(z): slow, independent of the theta path.
+
+    1/z^2 + sum [1/(z-w)^2 - 1/w^2] over w = 2*m*w1 + 2i*n*w2i,
+    0 < max(|m|,|n|) <= cutoff, added shell by shell in growing order.
+    """
     z = _check_z(z)
     cutoff = operator.index(cutoff)   # 10.9 or "12" raises TypeError, not truncated
     if cutoff < 10:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
     if _backend.wp_values((z,), lat.theta)[0] is POLE:
         raise ValueError("z is (numerically) a lattice point")
-    return _backend.lattice_sum(z, lat.omega1, lat.omega2_im, cutoff)
+    acc = 1.0 / (z * z)
+    tw1 = 2.0 * lat.omega1
+    tw2 = 2.0 * lat.omega2_im
+    for s in range(1, cutoff + 1):
+        ring = 0j
+        for m in range(-s, s + 1):
+            wr = tw1 * m
+            for n in (s, -s):
+                w = complex(wr, tw2 * n)
+                dz = z - w
+                ring += 1.0 / (dz * dz) - 1.0 / (w * w)
+        for n in range(-(s - 1), s):
+            wi = tw2 * n
+            for m in (s, -s):
+                w = complex(tw1 * m, wi)
+                dz = z - w
+                ring += 1.0 / (dz * dz) - 1.0 / (w * w)
+        acc += ring
+    return acc

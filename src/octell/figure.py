@@ -22,7 +22,7 @@ import math
 import operator
 from collections import namedtuple
 
-from ._backend import compute_lattice
+from ._backend import GOLDEN_BETA, compute_lattice, derive_params
 
 # essential_R is bound here, though unused, for the benchmark tracer, which
 # wraps it where figure and verify look it up
@@ -33,7 +33,6 @@ from .evaluate import (  # noqa: F401
     invert_omega1,
     invert_omega2,
 )
-from .params import GOLDEN_BETA, derive_params
 
 RED = "#c1272d"
 BLUE = "#1f4e9c"

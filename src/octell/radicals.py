@@ -12,10 +12,15 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
+from ._backend import CurveParams
 from .evaluate import POLE, NodeValue, conj, mirror_block
-from .params import BETA_FLOOR, CurveParams
 
 _SQRT2 = math.sqrt(2.0)
+
+# gamma4 formulas contain 1/sqrt(beta-1); below this floor they still compute
+# but lose digits, so catalog construction warns (construction never rejects
+# any beta > 1).
+BETA_FLOOR = 1.0 + 1e-6
 
 _cbrt = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
 

@@ -28,7 +28,7 @@ import operator
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
-from ._backend import Lattice, compute_lattice
+from ._backend import CurveParams, Lattice, compute_lattice, derive_params
 from .evaluate import (
     POLE,
     _nv_json,
@@ -40,7 +40,6 @@ from .evaluate import (
     log_deriv_sq,
     mirror_block,
 )
-from .params import CurveParams, derive_params
 from .radicals import ClosedFormTable, grid_table
 
 TRIPLE_TOL = 1e-8     # pairwise source agreement
@@ -332,13 +331,9 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
 # claims
 
 def verify_claims(
-    params: CurveParams, lat: Lattice, table: ClosedFormTable, numeric=None
+    params: CurveParams, lat: Lattice, table: ClosedFormTable
 ) -> list[PropertyResult]:
-    """The geometric/figure claims for one curve, as property results.
-
-    numeric, when given, is the evaluator's 9x9 node grid (indexed [m][n]);
-    the claims then read node (2, 2) from it instead of evaluating it again.
-    """
+    """The geometric/figure claims for one curve, as property results."""
     beta = params.beta
     d = params.d
     radius = beta / params.delta
@@ -361,10 +356,7 @@ def verify_claims(
     )
 
     # (b) the center value lies on both circles
-    if numeric is None:
-        v = essential_R(_node_z(lat, 2, 2), lat, params)
-    else:
-        v = numeric[2][2]
+    v = essential_R(_node_z(lat, 2, 2), lat, params)
     e_unit = abs(abs(v) - 1.0)
     e_red = abs(abs(v + beta) - radius) / max(1.0, radius)
     pairing = "(omega1+omega2)/2 -> " + (
@@ -506,7 +498,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
         note += f"; pole/finite disagreement at {bad}"
 
     axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
-    props = verify_claims(params, lat, table, numeric) + [
+    props = verify_claims(params, lat, table) + [
         _worst_check(
             "triple_source_agreement",
             TRIPLE_TOL,
@@ -556,6 +548,11 @@ def sweep(beta_min: float, beta_max: float, steps: int, tol: float = 1e-9):
     steps = operator.index(steps)   # 2.9 or "3" raises TypeError, not truncated
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
+        # (inf - beta_min) * 0 would make the first beta NaN
+        raise ValueError(
+            f"beta_min and beta_max must be finite (got {beta_min!r}, {beta_max!r})"
+        )
     if not beta_min > 1.0 or not beta_max >= beta_min:
         raise ValueError("need 1 < beta_min <= beta_max")
     if steps == 1:

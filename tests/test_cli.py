@@ -220,6 +220,11 @@ def test_sweep_command(capsys):
 def test_sweep_domain_error(capsys):
     code = run(["sweep", "--beta-min", "0.5", "--beta-max", "2.0"])
     assert code == 2
+    # an infinite bound ran a passing one-step sweep
+    assert run(["sweep", "--beta-min", "2", "--beta-max", "inf", "--steps", "1"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "octell: error: beta_min and beta_max must be finite (got 2.0, inf)\n"
+    )
 
 
 def test_figure_to_file(tmp_path, capsys):

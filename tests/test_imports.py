@@ -57,8 +57,10 @@ def test_eval_does_not_load_the_verifier():
 
 
 def test_import_octell_loads_only_the_kernel():
-    # POLE and Lattice live in the kernel module too, so they load nothing more
-    code = "import octell; octell.POLE; octell.Lattice"
+    # POLE, Lattice and the curve's constants live in the kernel module too,
+    # so they load nothing more
+    code = ("import octell; octell.POLE; octell.Lattice; "
+            "octell.derive_params(3.0); octell.CurveParams")
     loaded = {m for m in _fresh(code) if m.startswith("octell.")}
     assert loaded == {"octell._backend"}
 

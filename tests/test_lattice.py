@@ -141,5 +141,10 @@ def test_period_rectangle_shape(beta):
 def test_hand_built_lattice_with_bad_fields_raises(fields):
     # a negative period made the nome > 1 and R tiny (9.4e-44-4.8e-44j at
     # the first one), a NaN one made R NaN; the check runs in Lattice.theta
-    with pytest.raises(ValueError, match="omega1|omega2_im|beta"):
+    with pytest.raises(ValueError, match="omega1|omega2_im|beta") as exc:
         essential_R(0.3 + 0.2j, Lattice(*fields), derive_params(3.0))
+    if fields[:2] == (1.4, 1.9):
+        # a bad beta: the one domain check, with derive_params' message
+        with pytest.raises(ValueError) as ref:
+            derive_params(fields[2])
+        assert str(exc.value) == str(ref.value)

@@ -388,12 +388,12 @@ def test_report_builds_each_input_once(monkeypatch):
 
 
 def test_report_evaluates_each_point_once(monkeypatch):
-    # 81 nodes, the 4 log-derivative centers and 3 lines of 17 samples per
-    # inversion family: the claims read node (2,2) from the numeric grid, and
-    # the blue check pairs its lines like the red one, so no line is
-    # evaluated twice. The centers are nodes too, but they need R', which the
-    # grid does not hold. The grid and both inversion families share one
-    # kernel call of 183 points.
+    # 81 nodes, the 4 log-derivative centers, the claims' center node (2,2)
+    # and 3 lines of 17 samples per inversion family: the blue check pairs
+    # its lines like the red one, so no line is evaluated twice. The centers
+    # are nodes too, but they need R', which the grid does not hold; the
+    # claims evaluate node (2,2) on their own, one point. The grid and both
+    # inversion families share one kernel call of 183 points.
     calls = []
     sizes = []
     for name in ("essential_R", "log_deriv_sq"):
@@ -413,9 +413,9 @@ def test_report_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(octell.verify, "essential_R_values", counted_values)
     assert verify_grid(3.0).passed
-    assert len(calls) == 81 + 4 + 2 * 3 * 17 == 187
+    assert len(calls) == 81 + 4 + 1 + 2 * 3 * 17 == 188
     assert sizes == [81 + 2 * 3 * 17] == [183]
-    assert len(set(calls)) == 187 - 4
+    assert len(set(calls)) == 188 - 5
 
 
 _RED, _BLUE = "red_circle_inverts_red_lines", "blue_circle_inverts_blue_lines"
@@ -495,9 +495,16 @@ def test_sweep_single_step():
     assert len(out) == 1
 
 
-@pytest.mark.parametrize("args", [(0.9, 2.0, 3), (2.0, 1.5, 3), (1.5, 2.0, 0)])
-def test_sweep_domain(args):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("args, match", [
+    pytest.param((0.9, 2.0, 3), "need 1 < beta_min", id="args0"),
+    pytest.param((2.0, 1.5, 3), "need 1 < beta_min", id="args1"),
+    pytest.param((1.5, 2.0, 0), "steps must be", id="args2"),
+    # an infinite bound ran a passing sweep at one step, and a NaN beta at two
+    pytest.param((2.0, math.inf, 1), r"must be finite \(got 2\.0, inf\)", id="args3"),
+    pytest.param((2.0, math.inf, 2), r"must be finite \(got 2\.0, inf\)", id="args4"),
+])
+def test_sweep_domain(args, match):
+    with pytest.raises(ValueError, match=match):
         sweep(*args)
 
 
@@ -598,7 +605,7 @@ def _ref_verify_grid(beta, tol=1e-9):
     if bad:
         note += f"; pole/finite disagreement at {bad}"
     axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
-    props = V.verify_claims(params, lat, table, numeric) + [
+    props = V.verify_claims(params, lat, table) + [
         _ref_worst_check(
             "triple_source_agreement", V.TRIPLE_TOL, "max pairwise scaled err",
             triples, note,
