@@ -4,14 +4,15 @@ R satisfies R'^2 = 4 R (R + beta) (R + 1/beta); its value at a lattice point
 is the distinguished POLE marker rather than an error. The kernel reduces
 into the fundamental cell and returns R itself: POLE at lattice points, the
 exact values 0, -beta, -1/beta at the half-periods, and otherwise the theta
-quotient (DLMF §23.6(i), series from §20.2(i)). `essential_R` and the list
-form `essential_R_values` need R alone and make one `_backend.wp_values`
+quotient (DLMF §23.6(i), series from §20.2(i)). `essential_R`, `wp` and the
+list form `essential_R_values` need R alone and make one `_backend.wp_values`
 call, for one point or a whole list; `wp_with_prime`, `wp_prime` and
 `log_deriv_sq` need R' too and make one `_backend.wp_pair` call, the same
 loop at one point with R' from the same series terms.
 `wp` adds e1 = alpha. `POLE` is the kernel's marker, re-exported here.
-`conj` and `mirror_block` are the one conjugation and the one
-quarter-to-grid mirror of the closed-form table and the half-argument oracle;
+`mirror_block` is the one quarter-to-grid mirror of the closed-form table
+and the half-argument oracle: it conjugates each mirrored entry itself, with
+`conj`, which keeps POLE and the oracle's None ("inconclusive");
 `invert_omega1` and `invert_omega2` are the paper's two circle inversions,
 the half-period translations composed with conjugation, over a list of values,
 for the figure and the verifier's line checks. `wp_lattice_sum_oracle` is the
@@ -43,17 +44,17 @@ def _nv_json(v):
 
 
 def conj(v: NodeValue) -> NodeValue:
-    """R(conj z) from v = R(z): the conjugate with a zero part +0.0, POLE kept."""
-    return v if v is POLE else v.conjugate() + 0.0
+    """R(conj z) from v = R(z), with a zero part +0.0; POLE and None are kept."""
+    return v if v is POLE or v is None else v.conjugate() + 0.0
 
 
-def mirror_block(block: list, image: list) -> list:
-    """The 9x9 node grid from its 5x5 quarter block, image its entry-wise mirror.
+def mirror_block(block: list, flip=conj) -> list:
+    """The 9x9 node grid from its 5x5 quarter block.
 
-    R is even and R(conj z) = conj R(z): with e the entry at (i, j) and e' its
-    image, (8 - i, j) and (i, 8 - j) get e', and (8 - i, 8 - j) gets e.
+    R is even and R(conj z) = conj R(z): with e the entry at (i, j) and
+    e' = flip(e), (8 - i, j) and (i, 8 - j) get e', and (8 - i, 8 - j) gets e.
     """
-    pairs = list(zip(block, image))
+    pairs = [(row, [flip(e) for e in row]) for row in block]
     return [[*b, *reversed(m[:4])] for b, m in pairs] + [
         [*m, *reversed(b[:4])] for b, m in reversed(pairs[:4])
     ]
@@ -114,7 +115,9 @@ def wp_with_prime(z: complex, lat: Lattice, par: CurveParams):
 
 
 def wp(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
-    return wp_with_prime(z, lat, par)[0]
+    """wp(z) = R(z) + e1 from the R-only kernel, or POLE at lattice points."""
+    r = essential_R(z, lat, par)
+    return r if r is POLE else r + par.e1
 
 
 def wp_prime(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
@@ -146,7 +149,8 @@ def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
     if r == 0:
         raise ValueError("R(z) = 0; logarithmic derivative undefined")
     q = dr / r
-    return q * q
+    # + 0j: on the axes q * q can have a zero part -0.0; the kernel's are +0.0
+    return q * q + 0j
 
 
 def wp_lattice_sum_oracle(z: complex, lat: Lattice, cutoff: int) -> complex:

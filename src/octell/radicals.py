@@ -4,7 +4,8 @@ Every value R takes at an eighth-period node (m*omega1 + n*omega2)/4,
 m, n in 0..8, has a nested-radical closed form built from a small catalog of
 constants. The four "order-8" values gamma41..gamma44 carry a sgn(beta - b)
 factor, b the tribonacci constant, that keeps them continuous across the
-double root of their inner radicand.
+double root of their inner radicand. The 81 symbols are the same for every
+beta, built once at import with `conj(X)` and `X` swapped in the mirrored ones.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from ._backend import CurveParams
-from .evaluate import POLE, NodeValue, conj, mirror_block
+from .evaluate import POLE, NodeValue, mirror_block
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -170,16 +171,6 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     )
 
 
-def _mirror(entry: tuple[NodeValue, str]) -> tuple[NodeValue, str]:
-    """The (value, symbol) entry of a mirrored node, which holds the conjugate.
-
-    Every complex name X in the quarter block is written conj(X), so the
-    conjugate's symbol is the symbol with each conj( ) removed.
-    """
-    v, sym = entry
-    return conj(v), sym.replace("conj(", "").replace(")", "")
-
-
 class ClosedFormTable:
     """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
@@ -227,6 +218,22 @@ class ClosedFormTable:
                 yield m, n, self._symbols[n][m], self._values[n][m]
 
 
+# the quarter block's symbols, one row a line, laid out as `grid_table`'s values;
+# every complex name X is written conj(X), so a mirrored one drops each conj( )
+_QUARTER_SYMBOLS = (
+    "inf beta2*beta3 1 beta0*beta1 0",
+    "-beta*gamma23 conj(gamma44) -beta*conj(gamma_hi) conj(gamma43) -beta*gamma02",
+    "-beta*gamma_plus_r -beta_plus*conj(gamma0) -conj(gamma)/beta "
+    "-beta_minus*conj(gamma0) -beta*gamma_minus_r",
+    "-beta*gamma01 conj(gamma41) -beta*conj(gamma_lo) conj(gamma42) -beta*gamma13",
+    "-beta beta0*beta2 -1 beta1*beta3 -1/beta",
+)
+_SYMBOLS = tuple(map(tuple, mirror_block(
+    [row.split() for row in _QUARTER_SYMBOLS],
+    lambda sym: sym.replace("conj(", "").replace(")", ""),
+)))
+
+
 def grid_table(params: CurveParams) -> ClosedFormTable:
     """The full table of closed-form values at the eighth-period nodes."""
     c = build_catalog(params)
@@ -236,43 +243,35 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
     g0c = c.gamma0.conjugate()
     # the quarter block m, n <= 4, mirrored onto the rest by mirror_block
     rows = [
+        [POLE, complex(b2 * b3), complex(1.0), complex(b0 * b1), complex(0.0)],
         [
-            (POLE, "inf"),
-            (complex(b2 * b3), "beta2*beta3"),
-            (complex(1.0), "1"),
-            (complex(b0 * b1), "beta0*beta1"),
-            (complex(0.0), "0"),
+            complex(-beta * c.gamma23),
+            c.gamma44.conjugate(),
+            -beta * c.gamma_hi.conjugate(),
+            c.gamma43.conjugate(),
+            complex(-beta * c.gamma02),
         ],
         [
-            (complex(-beta * c.gamma23), "-beta*gamma23"),
-            (c.gamma44.conjugate(), "conj(gamma44)"),
-            (-beta * c.gamma_hi.conjugate(), "-beta*conj(gamma_hi)"),
-            (c.gamma43.conjugate(), "conj(gamma43)"),
-            (complex(-beta * c.gamma02), "-beta*gamma02"),
+            complex(-beta * c.gamma_plus_r),
+            -bp * g0c,
+            -c.gamma.conjugate() / beta,
+            -bm * g0c,
+            complex(-beta * c.gamma_minus_r),
         ],
         [
-            (complex(-beta * c.gamma_plus_r), "-beta*gamma_plus_r"),
-            (-bp * g0c, "-beta_plus*conj(gamma0)"),
-            (-c.gamma.conjugate() / beta, "-conj(gamma)/beta"),
-            (-bm * g0c, "-beta_minus*conj(gamma0)"),
-            (complex(-beta * c.gamma_minus_r), "-beta*gamma_minus_r"),
+            complex(-beta * c.gamma01),
+            c.gamma41.conjugate(),
+            -beta * c.gamma_lo.conjugate(),
+            c.gamma42.conjugate(),
+            complex(-beta * c.gamma13),
         ],
         [
-            (complex(-beta * c.gamma01), "-beta*gamma01"),
-            (c.gamma41.conjugate(), "conj(gamma41)"),
-            (-beta * c.gamma_lo.conjugate(), "-beta*conj(gamma_lo)"),
-            (c.gamma42.conjugate(), "conj(gamma42)"),
-            (complex(-beta * c.gamma13), "-beta*gamma13"),
-        ],
-        [
-            (complex(-beta), "-beta"),
-            (complex(b0 * b2), "beta0*beta2"),
-            (complex(-1.0), "-1"),
-            (complex(b1 * b3), "beta1*beta3"),
-            (complex(-1.0 / beta), "-1/beta"),
+            complex(-beta),
+            complex(b0 * b2),
+            complex(-1.0),
+            complex(b1 * b3),
+            complex(-1.0 / beta),
         ],
     ]
-    rows = mirror_block(rows, [[_mirror(e) for e in row] for row in rows])
-    values = tuple(tuple(v for v, _ in row) for row in rows)
-    symbols = tuple(tuple(s for _, s in row) for row in rows)
-    return ClosedFormTable(beta=beta, _values=values, _symbols=symbols)
+    values = tuple(map(tuple, mirror_block(rows)))
+    return ClosedFormTable(beta=beta, _values=values, _symbols=_SYMBOLS)

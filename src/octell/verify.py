@@ -299,11 +299,6 @@ def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
     return best if best_margin > _GATE else None
 
 
-def _mirror_or_none(B):
-    """The 9x9 grid from the base block B; an inconclusive None mirrors to None."""
-    return mirror_block(B, [[None if v is None else conj(v) for v in row] for row in B])
-
-
 def half_argument_oracle(params: CurveParams, lat: Lattice):
     """9x9 array (indexed [m][n]) of node values derived without the evaluator.
 
@@ -318,13 +313,13 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     # the level before: the quarter-period nodes from the seeds, then the odd
     # nodes from the even block
     for step in (2, 1):
-        grid = _mirror_or_none(B)
+        grid = mirror_block(B)
         for m in range(0, 5, step):
             for n in range(0, 5, step):
                 if m % (2 * step) or n % (2 * step):
                     src = grid[2 * m][2 * n]
                     B[m][n] = None if src is None else _halve_branch(src, m, n, params)
-    return _mirror_or_none(B)
+    return mirror_block(B)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +517,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             "max scaled err",
             _worst(
                 vals[:81],
-                [v if v is POLE else v.conjugate() for col in numeric for v in col[::-1]],
+                [conj(v) for col in numeric for v in col[::-1]],
             ),
         ),
         _inversion_check(

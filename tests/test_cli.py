@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -276,13 +277,60 @@ def test_unwritable_out_is_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("beta", ["1.2", "3"])
 @pytest.mark.parametrize(
-    "argv", [["grid"], ["grid", "--format", "csv"], ["verify"]]
+    "argv",
+    [["grid"], ["grid", "--format", "csv"], ["verify"]]
+    + [["eval", "--what", what] for what in ("R", "wp", "wp_prime", "log_deriv_sq")],
 )
 def test_no_negative_zero_printed(capsys, argv, beta):
-    run(argv + ["--beta", beta])
+    # eval prints one value: it runs at points on both axes, where the value
+    # is real or imaginary and so has a zero part
+    points = ("0.3", "-0.3", "0.3i", "-0.3i", "1", "-1", "i", "-i")
+    for z in points if argv[0] == "eval" else [None]:
+        assert run(argv + ["--beta", beta] + (["--z", z] if z else [])) == 0
     out = capsys.readouterr().out
     assert out.count("\n") > 80
     assert re.search(r"-0\.0(?!\d)", out) is None
+
+
+# sha256 of the stdout of `params`, `grid` and `grid --format csv`; these use
+# only arithmetic, sqrt, ** 0.5 and the AGM, and print the same bytes on
+# Python 3.10 to 3.13
+_PINNED = {
+    "1.0001": (
+        "0e75fcf5a5beb51aa26a2d2eb1ecd36d2fe512ab16f55446073ca0cf09dbd804",
+        "5c53e99c12973e2cadd7ff2a7d440322fc932f783612631c37e28b58780448a4",
+        "45435bbbe89a1037529c5ac2825e885cdc2ace1335166093b369fd5007847d43",
+    ),
+    "1.2": (
+        "2e128257b92e1884933f3fef98826b17048c669556abf451cfb4fda81e63097e",
+        "420a4bbe920d3b20b6bd2b847afc27f83ccc5524706004c87af862001bdee6db",
+        "0337bfac12846ae899bea9b6ea6254b4be2411928f36f0847ee2c507dde0db0b",
+    ),
+    None: (
+        "66ffdb19d9bc547e077deeb658cd1f03754f32da2a6899b8938d8a8eaf5e934e",
+        "7b9f2c3f299980eb5ab8bed6f99e96265e1c6d80fa9479ce905e6b58548c486e",
+        "911a46d2cff6338faa91feb6a329e7228ce2692d8e4d2f8e7a55000dd1c887f5",
+    ),
+    "3": (
+        "d49335b6c0041cb2ce3af9a32b0352a295c380b8a8feed64d77ad0705aaf49be",
+        "d698b0f1c8e42d493dc19a13a62f1ee18008b3b869eb71eb98ef7a11d06bf3c7",
+        "308229471e49a6afdebbb5e37942c31a7363f5165053e53e2f382b34df04ebe2",
+    ),
+    "20": (
+        "647c05fc5632b01081445369b7d31c15de0652f07fa8a90bbfd4348bf27bda0a",
+        "bcdeb860dfd2c0c91be85627e9a0f4156d51ef49b337e2d732d5e8eab73cd6e9",
+        "25b4f5d986467835b37d3fb6dcc530e8eb3abb5868e44dd4d4a5c62bc89d9712",
+    ),
+}
+
+
+@pytest.mark.parametrize("beta", list(_PINNED), ids=lambda b: b or "default")
+def test_params_and_grid_bytes_are_pinned(capsys, beta):
+    got = []
+    for argv in (["params"], ["grid"], ["grid", "--format", "csv"]):
+        assert run(argv + (["--beta", beta] if beta else [])) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == _PINNED[beta]
 
 
 def test_usage_errors(capsys):

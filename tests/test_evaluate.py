@@ -376,6 +376,28 @@ def test_list_kernel_matches_wp_pair_bit_for_bit(beta):
     assert [repr(essential_R(z, lat, p)) for z in pts] == want
 
 
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_wp_is_essential_R_plus_e1_without_R_prime(monkeypatch, beta):
+    # wp takes the R-only path, whose R is the bit-for-bit R of the R' path
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    pts = kernel_points(lat, seed=16) + [
+        node_z(lat, m, n) for m in range(-8, 9) for n in range(-8, 9)
+    ]
+    want = []
+    for z in pts:
+        r = essential_R(z, lat, p)
+        want.append(repr(POLE if r is POLE else r + p.e1))
+    assert [repr(wp_with_prime(z, lat, p)[0]) for z in pts] == want
+    calls = []
+    pair = _backend.wp_pair
+    monkeypatch.setattr(
+        _backend, "wp_pair", lambda z, theta: calls.append(z) or pair(z, theta)
+    )
+    assert [repr(wp(z, lat, p)) for z in pts] == want
+    assert calls == []
+
+
 def _ref_snap(x, y, gx, gy, eps, beta):
     if math.hypot(x, y) <= eps:
         return POLE
