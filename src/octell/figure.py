@@ -122,14 +122,7 @@ def _printed(vals, clip: float) -> str:
     """The points of vals as text, "x,y " each, with y flipped so the upper
     half plane renders upward, in one %-format; the break token where a
     value is a pole or beyond the clip radius."""
-    # a NaN is never past the clip radius: max returns it only when it comes
-    # first, and the test below then keeps it
-    try:
-        inside = max(map(abs, vals)) <= clip
-    except TypeError:   # abs(POLE): vals holds a pole
-        inside = False
-    if not inside:
-        vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
+    vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
     flat = [0.0] * (2 * len(vals))
     # + 0.0 and 0.0 - turn a zero of either sign into 0
     flat[::2] = [v.real + 0.0 for v in vals]
@@ -150,8 +143,6 @@ def _conjugated(text: str) -> str:
 def _polylines(text: str) -> str:
     """Split a line's printed points at the break token into SVG polylines
     of two points or more."""
-    if _BREAK_TEXT not in text and text.count(" ") >= 2:
-        return '<polyline points="%s"/>' % text[:-1]
     return "".join(
         '<polyline points="%s"/>' % run[:-1]
         for run in text.split(_BREAK_TEXT)

@@ -4,8 +4,10 @@ Every value R takes at an eighth-period node (m*omega1 + n*omega2)/4,
 m, n in 0..8, has a nested-radical closed form built from a small catalog of
 constants. The four "order-8" values gamma41..gamma44 carry a sgn(beta - b)
 factor, b the tribonacci constant, that keeps them continuous across the
-double root of their inner radicand. The 81 symbols are the same for every
-beta, built once at import with `conj(X)` and `X` swapped in the mirrored ones.
+double root of their inner radicand. Each quarter-block value is computed
+from its printed symbol, an expression over the catalog's constants, compiled
+once at import. The 81 symbols are the same for every beta, built once at
+import with `conj(X)` and `X` swapped in the mirrored ones.
 """
 from __future__ import annotations
 
@@ -218,8 +220,8 @@ class ClosedFormTable:
                 yield m, n, self._symbols[n][m], self._values[n][m]
 
 
-# the quarter block's symbols, one row a line, laid out as `grid_table`'s values;
-# every complex name X is written conj(X), so a mirrored one drops each conj( )
+# the quarter block m, n <= 4, one row a line; every complex name X is
+# written conj(X), so a mirrored symbol drops each conj( )
 _QUARTER_SYMBOLS = (
     "inf beta2*beta3 1 beta0*beta1 0",
     "-beta*gamma23 conj(gamma44) -beta*conj(gamma_hi) conj(gamma43) -beta*gamma02",
@@ -233,45 +235,23 @@ _SYMBOLS = tuple(map(tuple, mirror_block(
     lambda sym: sym.replace("conj(", "").replace(")", ""),
 )))
 
+# the quarter block's values as one function of beta, beta0..beta3 (beta_seq),
+# beta_minus, beta_plus (beta_pm) and the catalog's fields, compiled once from
+# the symbols above: `inf` is POLE, every other entry complex(symbol)
+_quarter_values = eval(
+    "lambda beta, beta0, beta1, beta2, beta3, beta_minus, beta_plus, %s: (%s)" % (
+        ", ".join(RadicalCatalog._fields),
+        ", ".join("(%s)" % ", ".join(
+            sym if sym == "inf" else "complex(%s)" % sym for sym in row.split()
+        ) for row in _QUARTER_SYMBOLS),
+    ),
+    {"__builtins__": {}, "complex": complex, "conj": complex.conjugate, "inf": POLE},
+)
+
 
 def grid_table(params: CurveParams) -> ClosedFormTable:
     """The full table of closed-form values at the eighth-period nodes."""
     c = build_catalog(params)
-    beta = params.beta
-    b0, b1, b2, b3 = c.beta_seq
-    bm, bp = c.beta_pm
-    g0c = c.gamma0.conjugate()
-    # the quarter block m, n <= 4, mirrored onto the rest by mirror_block
-    rows = [
-        [POLE, complex(b2 * b3), complex(1.0), complex(b0 * b1), complex(0.0)],
-        [
-            complex(-beta * c.gamma23),
-            c.gamma44.conjugate(),
-            -beta * c.gamma_hi.conjugate(),
-            c.gamma43.conjugate(),
-            complex(-beta * c.gamma02),
-        ],
-        [
-            complex(-beta * c.gamma_plus_r),
-            -bp * g0c,
-            -c.gamma.conjugate() / beta,
-            -bm * g0c,
-            complex(-beta * c.gamma_minus_r),
-        ],
-        [
-            complex(-beta * c.gamma01),
-            c.gamma41.conjugate(),
-            -beta * c.gamma_lo.conjugate(),
-            c.gamma42.conjugate(),
-            complex(-beta * c.gamma13),
-        ],
-        [
-            complex(-beta),
-            complex(b0 * b2),
-            complex(-1.0),
-            complex(b1 * b3),
-            complex(-1.0 / beta),
-        ],
-    ]
-    values = tuple(map(tuple, mirror_block(rows)))
-    return ClosedFormTable(beta=beta, _values=values, _symbols=_SYMBOLS)
+    block = _quarter_values(params.beta, *c.beta_seq, *c.beta_pm, *c)
+    values = tuple(map(tuple, mirror_block(block)))
+    return ClosedFormTable(beta=params.beta, _values=values, _symbols=_SYMBOLS)

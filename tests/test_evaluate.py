@@ -332,6 +332,29 @@ def test_snaps_are_exact_far_from_the_origin(beta):
     assert misses == []
 
 
+@pytest.mark.parametrize("beta, rotated", [(1.2, False), (3.0, True)])
+def test_points_near_a_node_but_off_its_snap_disc_are_evaluated(beta, rotated):
+    # offsets (+-0.8 eps, +-0.8 eps) pass the kernel's guard box, |dx|, |dy|
+    # <= eps, but lie 1.13 eps from the node, outside the snap disc
+    p = derive_params(beta)
+    lat = compute_lattice(p)
+    assert lat.theta.rotated is rotated
+    eps = 2e-12 * max(lat.omega1, lat.omega2_im)
+    d = 0.8 * eps
+    nodes = (0j, complex(lat.omega1), complex(0.0, lat.omega2_im),
+             complex(lat.omega1, lat.omega2_im))
+    pts = [c + complex(sx * d, sy * d) for c in nodes for sx in (1, -1) for sy in (1, -1)]
+    snapped = (POLE, 0j, complex(-beta), complex(-1.0 / beta))
+    got = _backend.wp_values(pts, lat.theta, prime=True)
+    assert _backend.wp_values(pts, lat.theta) == [r for r, _ in got]
+    worst = 0.0
+    for z, (r, dr) in zip(pts, got):
+        assert r not in snapped, z
+        ref, dref = mpmath_R_and_prime(beta, z)
+        worst = max(worst, abs(r - ref) / max(1.0, abs(ref)), abs(dr - dref) / max(1.0, abs(dref)))
+    assert worst <= 1e-13, f"worst scaled error {worst:.3g} at beta={beta!r}"
+
+
 # --- the kernel loop, with and without R' -----------------------------------
 
 KERNEL_BETAS = [1.0 + 1e-6, 1.2, GOLDEN_BETA, 3.0, 50.0, 1e6, 1e12]

@@ -124,6 +124,12 @@ def test_viewport_controls_viewbox():
     assert 'viewBox="-1 -4 3 7"' in svg
 
 
+def test_viewbox_writes_a_negated_zero_as_0():
+    # the viewBox's y is -ymax, here -0.0
+    svg = render_figure(FigureConfig(viewport=(-1.0, 1.0, -1.0, 0.0), **SMALL))
+    assert 'viewBox="-1 0 2 1"' in svg
+
+
 def test_clip_drops_far_points():
     loose = render_figure(FigureConfig(beta=3.0, clip_radius=50.0, **SMALL))
     tight = render_figure(FigureConfig(beta=3.0, clip_radius=4.0, **SMALL))

@@ -138,6 +138,33 @@ def _mirror_table_rows(monkeypatch):
     monkeypatch.setattr(octell.verify, "grid_table", mirrored)
 
 
+def _pole_in_table_at_2_2(monkeypatch):
+    """Make verify_grid's closed-form table hold POLE at node (2, 2)."""
+    real_table = octell.verify.grid_table
+
+    def poled(params):
+        t = real_table(params)
+        row = list(t._values[2])
+        row[2] = POLE
+        return ClosedFormTable(
+            t.beta, (*t._values[:2], tuple(row), *t._values[3:]), t._symbols
+        )
+
+    monkeypatch.setattr(octell.verify, "grid_table", poled)
+
+
+def _pole_in_evaluator_at_2_2(monkeypatch):
+    """Make verify's evaluator return POLE at node (2, 2): index 20 of the
+    report's 183 values, and the same point of a reference column."""
+    real = octell.verify.essential_R_values
+
+    def poled(points, lat):
+        at = node_z(lat, 2, 2)
+        return [POLE if z == at else v for z, v in zip(points, real(points, lat))]
+
+    monkeypatch.setattr(octell.verify, "essential_R_values", poled)
+
+
 def _perturb_inversion(monkeypatch, invert):
     """Scale every finite value of verify's `invert` map by 1 + 1e-5."""
     real = getattr(octell.verify, invert)
@@ -656,8 +683,13 @@ def test_report_matches_pairwise_reference_at_seeded_betas():
         _mirror_table_rows,
         lambda mp: _perturb_inversion(mp, "invert_omega1"),
         lambda mp: _perturb_inversion(mp, "invert_omega2"),
+        _pole_in_table_at_2_2,
+        _pole_in_evaluator_at_2_2,
     ],
-    ids=["refused", "swapped", "mirrored", "perturbed_omega1", "perturbed_omega2"],
+    ids=[
+        "refused", "swapped", "mirrored", "perturbed_omega1", "perturbed_omega2",
+        "table_pole", "evaluator_pole",
+    ],
 )
 def test_report_matches_pairwise_reference_when_a_check_fails(monkeypatch, patch):
     patch(monkeypatch)
