@@ -10,13 +10,14 @@ profilers one place to wrap them.
 
 One loop, `wp_values(points, theta, prime=False)`, evaluates R. It reduces
 each point into the cell, snaps lattice points and half-periods through one
-`_snap` rule, sums the theta series and restores signs, with the lattice
-set-up done once per call. R alone serves `essential_R` (one point),
-`essential_R_values` (the figure's quarter lines, and one call per verify
-report for its nodes and inversion lines) and the lattice-sum oracle's pole
-test. With prime it returns (R, R') pairs, R' from b d/db of the same series
-terms; `wp_pair(z, theta)` is that call at one point, for `wp_with_prime`,
-`wp_prime` and `log_deriv_sq`.
+`_snap` rule, sums the theta series and restores signs; its per-lattice
+constants are built once per lattice and held in `Lattice.theta`, so a call
+at one point pays for that point alone. R alone serves `essential_R` (one
+point), `essential_R_values` (the figure's quarter lines, and one call per
+verify report for its nodes and inversion lines) and the lattice-sum
+oracle's pole test. With prime it returns (R, R') pairs, R' from b d/db of
+the same series terms; `wp_pair(z, theta)` is that call at one point, for
+`wp_with_prime`, `wp_prime` and `log_deriv_sq`.
 
 The kernel evaluates R = wp - e1 on the rectangular lattice (2*w1, 2i*w2i) of
 R'^2 = 4 R (R + beta) (R + 1/beta) as a theta quotient (DLMF §23.6(i)):
@@ -140,9 +141,10 @@ def agm(a: float, b: float) -> float:
 
 
 class ThetaConstants(
-    namedtuple("ThetaConstants", "w1 w2i beta rotated k2 q inv_sqrt_q t n")
+    namedtuple("ThetaConstants", "w1 w2i beta rotated k2 q inv_sqrt_q t n eps px py dfac")
 ):
-    """Per-lattice constants of the kernel `wp_values`.
+    """Per-lattice constants of the kernel `wp_values`, held in `Lattice.theta`
+    so that no call to the kernel rebuilds them.
 
     - w1, w2i: the half-periods.
     - beta: the curve parameter, for the exact values -beta and -1/beta at
@@ -155,6 +157,10 @@ class ThetaConstants(
       theta1(v) = -i q^(1/4) b^(-1/2) (b - 1) t(b) leaves after the (b - 1)
       factor, and theta2(v) = q^(1/4) b^(-1/2) (b + 1) t(-b); `n` is
       theta4(v) = n(b), needed on the rotated lattice only.
+    - eps: the snap radius, 1e-12 of the longer period, above the reduction's
+      error m (2 w - fl(2 w)) plus the rounding of z up to about 2,000 periods.
+    - px, py: the double periods 2 w1 and 2 w2i, by which z is reduced.
+    - dfac: the factor of R', -k2 on the rotated lattice, else -2i k2.
 
     With |a|, |b| <= 1 the j-th terms are bounded by q^(j^2) or q^(j(j+-1)),
     so every term left out is below q^12 <= exp(-12 pi) < 4.3e-17, against
@@ -229,10 +235,13 @@ class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
         n = [(-1) ** j * q ** (j * j) for j in range(4)] + [
             (-1) ** j * q ** (j * (j - 1)) for j in range(1, 4)
         ]
+        k2 = math.pi / short
         # complex-typed, so that each series term is complex x complex
         return ThetaConstants(
-            w1, w2i, beta, rotated, math.pi / short, q, complex(1.0 / math.sqrt(q)),
+            w1, w2i, beta, rotated, k2, q, complex(1.0 / math.sqrt(q)),
             tuple(map(complex, t)), tuple(map(complex, n)),
+            2e-12 * long_, 2.0 * w1, 2.0 * w2i,
+            complex(-k2) if rotated else complex(0.0, -2.0 * k2),
         )
 
 
@@ -273,8 +282,9 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     R is POLE at lattice points, and so is R'; at the half-periods omega1,
     omega2 and omega1 + omega2 R is exactly 0, -beta and -1/beta, and R' is 0.
     z is reduced into the cell exactly, so these snaps hold far from the
-    origin. The lattice set-up is done once per call. R' is b d/db of the
-    same series terms, and R is the same bit for bit with or without it.
+    origin. Every per-lattice constant comes ready-made from `theta`, built
+    once per lattice by `Lattice.theta`. R' is b d/db of the same series
+    terms, and R is the same bit for bit with or without it.
 
     Every constant of the loop is complex-typed (see `ThetaConstants`), which
     gives the same bits as float constants. b = exp(s + it) is built from the
@@ -284,17 +294,11 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     point's, and cos(t), sin(t) and 2 sin^2(t/2) only when t does. Equal
     inputs give equal values, so this too keeps the bits.
     """
-    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    (w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs,
+     eps, px, py, dfac) = theta
     c0, c1, c2, c3, d1, d2, d3 = t_coeffs
     n0, n1, n2, n3, m1, m2, m3 = n_coeffs
     one, two, three = 1 + 0j, 2 + 0j, 3 + 0j
-    if prime:
-        # the factor of R' below: -k2 on the rotated lattice, else -2i k2
-        dfac = complex(-k2) if rotated else complex(0.0, -2.0 * k2)
-    # snap radius: 1e-12 of the longer period, above the reduction's error
-    # m (2 w - fl(2 w)) plus the rounding of z itself up to about 2,000 periods
-    eps = 2e-12 * (w2i if w1 <= w2i else w1)
-    px, py = 2.0 * w1, 2.0 * w2i
     # the previous point's s and t; NaN compares unequal to every s and t
     s_prev = t_prev = nan
     out = []

@@ -7,8 +7,8 @@ exact values 0, -beta, -1/beta at the half-periods, and otherwise the theta
 quotient (DLMF §23.6(i), series from §20.2(i)). `essential_R`, `wp` and the
 list form `essential_R_values` need R alone and make one `_backend.wp_values`
 call, for one point or a whole list; `wp_with_prime`, `wp_prime` and
-`log_deriv_sq` need R' too and make one `_backend.wp_pair` call, the same
-loop at one point with R' from the same series terms.
+`log_deriv_sq` need R' too and each call `_backend.wp_pair` once, directly:
+the same loop at one point, with R' from the same series terms.
 `wp` adds e1 = alpha. `POLE` is the kernel's marker, re-exported here.
 `mirror_block` is the one quarter-to-grid mirror of the closed-form table
 and the half-argument oracle: it conjugates each mirrored entry itself, with
@@ -21,7 +21,7 @@ kernel only to reject a lattice point.
 """
 from __future__ import annotations
 
-import math
+import cmath
 import operator
 
 from . import _backend
@@ -95,20 +95,16 @@ def invert_omega2(values: list, par: CurveParams) -> list:
 
 
 def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if type(z) is not complex:
+        z = complex(z)
+    if not cmath.isfinite(z):
         raise ValueError(f"z must have finite components, got {z!r}")
     return z
 
 
-def _R_with_prime(z: complex, lat: Lattice):
-    """(R(z), R'(z)) from one kernel call; both POLE at lattice points."""
-    return _backend.wp_pair(_check_z(z), lat.theta)
-
-
 def wp_with_prime(z: complex, lat: Lattice, par: CurveParams):
     """(wp(z), wp'(z)) sharing one reduction; both POLE at lattice points."""
-    r, dr = _R_with_prime(z, lat)
+    r, dr = _backend.wp_pair(_check_z(z), lat.theta)
     if r is POLE:
         return POLE, POLE
     return r + par.e1, dr
@@ -121,7 +117,7 @@ def wp(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
 
 
 def wp_prime(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
-    return _R_with_prime(z, lat)[1]
+    return _backend.wp_pair(_check_z(z), lat.theta)[1]
 
 
 def essential_R(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
@@ -135,7 +131,7 @@ def essential_R_values(points, lat: Lattice) -> list:
     # a non-finite point makes the sum non-finite; so can an overflow, and
     # then the check point by point finds nothing
     total = sum(points, 0j)
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+    if not cmath.isfinite(total):
         for z in points:
             _check_z(z)
     return _backend.wp_values(points, lat.theta)
@@ -143,7 +139,7 @@ def essential_R_values(points, lat: Lattice) -> list:
 
 def log_deriv_sq(z: complex, lat: Lattice, par: CurveParams) -> complex:
     """(R'(z)/R(z))^2. Rejects lattice points and zeros of R."""
-    r, dr = _R_with_prime(z, lat)
+    r, dr = _backend.wp_pair(_check_z(z), lat.theta)
     if r is POLE:
         raise ValueError("z is a lattice point (pole of R)")
     if r == 0:

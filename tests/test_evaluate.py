@@ -18,7 +18,9 @@ from octell import (
     wp_with_prime,
 )
 from octell import _backend
-from octell.evaluate import conj, essential_R_values, invert_omega1, invert_omega2
+from octell.evaluate import (
+    _check_z, conj, essential_R_values, invert_omega1, invert_omega2,
+)
 from conftest import GOLDEN_BETA, SAMPLE_BETAS, node_z
 
 # beta - 1 log-uniform over the whole domain, 1e-6 to 1e12
@@ -419,6 +421,15 @@ def test_wp_is_essential_R_plus_e1_without_R_prime(monkeypatch, beta):
     )
     assert [repr(wp(z, lat, p)) for z in pts] == want
     assert calls == []
+    # each R' entry calls the kernel itself, once per point, raising or not
+    for fn in (wp_with_prime, wp_prime, log_deriv_sq):
+        calls.clear()
+        for z in pts:
+            try:
+                fn(z, lat, p)
+            except ValueError:   # log_deriv_sq at a pole or a zero of R
+                assert fn is log_deriv_sq
+        assert calls == pts, fn.__name__
 
 
 def _ref_snap(x, y, gx, gy, eps, beta):
@@ -437,7 +448,7 @@ def _ref_wp_pair(z, theta):
     # the joint (R, R') kernel as a separate point-at-a-time function, kept
     # verbatim as the reference for the single kernel loop, with float
     # coefficients and float constants: .real of the complex-typed ones
-    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta
+    w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs = theta[:9]
     inv_sqrt_q = inv_sqrt_q.real
     t_coeffs = [c.real for c in t_coeffs]
     n_coeffs = [c.real for c in n_coeffs]
@@ -593,6 +604,36 @@ def test_theta_coefficients_are_left_to_right_sums(beta):
             assert acc != math.fsum(terms)
 
 
+@pytest.mark.parametrize("beta, rotated", [(1.05, False), (3.0, True)])
+def test_theta_holds_the_kernel_loop_constants_bit_for_bit(beta, rotated):
+    # eps, px, py and dfac are built once per lattice; they must be the floats
+    # the kernel loop computed from the other fields at every call
+    lat = compute_lattice(derive_params(beta))
+    theta = lat.theta
+    assert lat.theta is theta
+    assert theta.rotated is rotated
+    w1, w2i, k2 = theta.w1, theta.w2i, theta.k2
+    want = {"eps": 2e-12 * (w2i if w1 <= w2i else w1), "px": 2.0 * w1, "py": 2.0 * w2i}
+    for name, v in want.items():
+        got = getattr(theta, name)
+        assert type(got) is float and got.hex() == v.hex(), name
+    dfac = complex(-k2) if rotated else complex(0.0, -2.0 * k2)
+    assert type(theta.dfac) is complex
+    # float.hex keeps the sign of a zero part: +0.0 in both orientations
+    assert theta.dfac.real.hex() == dfac.real.hex()
+    assert theta.dfac.imag.hex() == dfac.imag.hex()
+    zero = theta.dfac.imag if rotated else theta.dfac.real
+    assert math.copysign(1.0, zero) == 1.0
+
+
+SINGLE_POINT = [essential_R, wp, wp_prime, wp_with_prime, log_deriv_sq]
+
+
+class _TaggedComplex(complex):
+    def __repr__(self):
+        return "tagged"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_non_finite_points_raise_the_same_error(p3, lat3, bad, part):
@@ -602,6 +643,22 @@ def test_non_finite_points_raise_the_same_error(p3, lat3, bad, part):
     with pytest.raises(ValueError, match="finite") as many:
         essential_R_values([0.1 + 0.2j, z, 0.2 + 0.1j], lat3)
     assert str(one.value) == str(many.value)
+    for fn in SINGLE_POINT:
+        # a complex subclass is reported as the complex it converts to
+        for arg in (z, _TaggedComplex(z)):
+            with pytest.raises(ValueError, match="finite") as each:
+                fn(arg, lat3, p3)
+            assert str(each.value) == str(one.value), fn.__name__
+
+
+@pytest.mark.parametrize("z", [1, 0.3, "0.3+0.7j", _TaggedComplex(0.3, 0.7)], ids=repr)
+def test_non_complex_points_are_converted_as_complex_does(p3, lat3, z):
+    # only an exact complex skips the conversion; a subclass is converted too
+    want = complex(z)
+    for fn in SINGLE_POINT:
+        assert repr(fn(z, lat3, p3)) == repr(fn(want, lat3, p3)), fn.__name__
+    checked = _check_z(z)
+    assert type(checked) is complex and repr(checked) == repr(want)
 
 
 # --- the kernel's range: beta up to about 1.67e153 ---------------------------
