@@ -127,7 +127,10 @@ def essential_R(z: complex, lat: Lattice, par: CurveParams) -> NodeValue:
 
 def essential_R_values(points, lat: Lattice) -> list:
     """R at each of points, as `essential_R` gives it, from one kernel call."""
-    points = list(map(complex, points))
+    points = list(points)
+    # only exact complex points skip the conversion, as in `_check_z`
+    if not set(map(type, points)) <= {complex}:
+        points = list(map(complex, points))
     # a non-finite point makes the sum non-finite; so can an overflow, and
     # then the check point by point finds nothing
     total = sum(points, 0j)

@@ -9,9 +9,11 @@ with conjugation (`invert_omega1`, `invert_omega2`), fill the rest of the
 quarter cell a line at a time; conjugation mirrors the quarter onto the
 whole cell. Each quarter line is printed with one %-format, "x,y " per
 sample, and a pole or a value past the clip radius prints as the break
-token "inf,0 ", at which the line splits into polylines. The mirror images
-reuse that text: the conjugates' text is the same with the sign of each y
-flipped, and the reversed half of a line is its tokens in reverse order.
+token "inf,0 ". The mirror images reuse that text: the conjugates' text is
+the same with the sign of each y flipped, and the reversed half of a line
+is its tokens in reverse order. Whether a line breaks is known from its
+values, so a line without a break is written as its group in one format,
+one polyline; only a line with a break is split at the token.
 
 Output is deterministic text (stable float formatting, no timestamps), so
 renders can be compared byte-for-byte in tests.
@@ -118,16 +120,16 @@ _BREAK = complex(math.inf, 0.0)
 _BREAK_TEXT = "inf,0 "
 
 
-def _printed(vals, clip: float) -> str:
+def _printed(vals, clip: float) -> tuple[str, bool]:
     """The points of vals as text, "x,y " each, with y flipped so the upper
-    half plane renders upward, in one %-format; the break token where a
-    value is a pole or beyond the clip radius."""
+    half plane renders upward, in one %-format, the break token where a
+    value is a pole or beyond the clip radius; and whether none is."""
     vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
     flat = [0.0] * (2 * len(vals))
     # + 0.0 and 0.0 - turn a zero of either sign into 0
     flat[::2] = [v.real + 0.0 for v in vals]
     flat[1::2] = [0.0 - v.imag for v in vals]
-    return ("%.9g,%.9g " * len(vals)) % tuple(flat)
+    return ("%.9g,%.9g " * len(vals)) % tuple(flat), _BREAK not in vals
 
 
 def _conjugated(text: str) -> str:
@@ -140,35 +142,38 @@ def _conjugated(text: str) -> str:
     return text.replace(",", ",-").replace(",--", ",").replace(",-0 ", ",0 ")
 
 
-def _polylines(text: str) -> str:
-    """Split a line's printed points at the break token into SVG polylines
-    of two points or more."""
-    return "".join(
-        '<polyline points="%s"/>' % run[:-1]
-        for run in text.split(_BREAK_TEXT)
-        if run.count(" ") >= 2
-    )
+def _group(k: int, text: str, tail: str, whole: bool) -> str:
+    """The <g data-line> group of line k, printed as text then tail: one
+    polyline if whole, else split at the break token into polylines of two
+    points or more."""
+    if whole:
+        return '<g data-line="%d"><polyline points="%s%s"/></g>' % (k, text, tail)
+    runs = (text + tail + " ").split(_BREAK_TEXT)
+    polylines = "".join('<polyline points="%s"/>' % r[:-1] for r in runs if r.count(" ") >= 2)
+    return '<g data-line="%d">%s</g>' % (k, polylines)
 
 
-def _mirrored(quarter: list[str], L: int, S: int) -> list[str]:
-    """The printed lines k = 0..L from the printed quarter, lines k <= L//2
-    of samples j <= S//2.
+def _groups(quarter: list[list], L: int, S: int, clip: float) -> list[str]:
+    """The groups of lines k = 0..L from the quarter, lines k <= L//2 of
+    samples j <= S//2, each quarter line printed once.
 
     R is even and R(conj z) = conj R(z): line k is its quarter text followed
     by the conjugates of its first S - S//2 samples in reverse order, and
-    line L - k is the conjugated text followed by those samples reversed.
+    line L - k is the conjugated text followed by those samples reversed;
+    so both break only where the quarter line does.
     """
     c = S - S // 2
 
     def back(text):
-        return " ".join(text.split(" ")[c - 1 :: -1]) + " "
+        return " ".join(text.split(" ")[c - 1 :: -1])
 
     rows, mirror = [], []
-    for k, text in enumerate(quarter):
+    for k, vals in enumerate(quarter):
+        text, whole = _printed(vals, clip)
         conj_text = _conjugated(text)
-        rows.append(text + back(conj_text))
+        rows.append(_group(k, text, back(conj_text), whole))
         if k < L - L // 2:   # an even L's middle line is its own mirror
-            mirror.append(conj_text + back(text))
+            mirror.append(_group(L - k, conj_text, back(text), whole))
     return rows + mirror[::-1]
 
 
@@ -189,29 +194,24 @@ def render_figure(config: FigureConfig | None = None) -> str:
 
     # k / L * per puts the middle line and sample exactly on the cell edge;
     # red samples run along omega1 and red lines step along omega2, blue
-    # the other way round
+    # the other way round; with coordinates >= 0 the mixed sum and product
+    # give exactly complex(x, y)
     def red(k, n):
-        y = k / L * per_y
-        return [complex(j / S * per_x, y) for j in range(n)]
+        y = complex(0.0, k / L * per_y)
+        return [j / S * per_x + y for j in range(n)]
 
     def blue(k, n):
-        x = k / L * per_x
-        return [complex(x, j / S * per_y) for j in range(n)]
+        x = complex(k / L * per_x, 0.0)
+        return [x + j / S * per_y * 1j for j in range(n)]
 
     def invert_red(vals):
         return invert_omega2(vals, params)
 
-    def _family(line, fill_sample, fill_line) -> list[str]:
-        # The <g data-line> groups of lines k = 0..L: the quarter k <= L//2,
-        # j <= S//2 is computed (by `_quarter`, from its first sixteenth of
-        # the cell) and printed a line at a time, and the rest of the cell
-        # reuses its text
-        quarter = _quarter(line, L, S, fill_sample, fill_line, lat)
-        lines = _mirrored([_printed(vals, clip) for vals in quarter], L, S)
-        return [f'<g data-line="{k}">{_polylines(text)}</g>' for k, text in enumerate(lines)]
-
-    red_groups = _family(red, invert_omega1, invert_red)
-    blue_groups = _family(blue, invert_red, invert_omega1)
+    # the quarter k <= L//2, j <= S//2 of each family is computed (by
+    # `_quarter`, from its first sixteenth of the cell) and printed a line at
+    # a time, and the rest of the cell reuses its text
+    red_groups = _groups(_quarter(red, L, S, invert_omega1, invert_red, lat), L, S, clip)
+    blue_groups = _groups(_quarter(blue, L, S, invert_red, invert_omega1, lat), L, S, clip)
 
     parts = []
     parts.append(
@@ -242,5 +242,5 @@ def render_figure(config: FigureConfig | None = None) -> str:
         f'stroke-dasharray="{_fmt(6.0 * unit)} {_fmt(5.0 * unit)}"/>'
     )
     parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

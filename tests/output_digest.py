@@ -10,7 +10,10 @@ The script runs each command in-process at 21 fixed beta from 1 + 1e-6 to
 a pole and at a half-period, and `figure` at its defaults and at 5 x 33. It
 hashes each command line with its exit code, stdout, stderr and the text of
 any warning, and prints one hex digest. CI runs it on every Python version
-and fails unless the digests are equal. pytest does not collect this file.
+and fails unless the digests are equal. pytest does not collect this file,
+but `tests/test_cli.py::test_output_digest_is_pinned` calls `digest()` and
+compares it with the committed value (about 0.2 s), so a change that moves
+the output alike on every version fails the tier-1 tests too.
 """
 from __future__ import annotations
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -331,6 +333,20 @@ def test_params_and_grid_bytes_are_pinned(capsys, beta):
         assert run(argv + (["--beta", beta] if beta else [])) == 0
         got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert tuple(got) == _PINNED[beta]
+
+
+# the sha256 that tests/output_digest.py prints, pinned so that a change
+# that moves verify, eval or figure output alike on every Python version
+# fails here, not only a disagreement between versions
+_OUTPUT_DIGEST = "2954f4f2cb167f7e7ca3482ee30247f725d79735e494c53ed349f47f7b99d972"
+
+
+def test_output_digest_is_pinned():
+    path = Path(__file__).resolve().parent / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("_output_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.digest() == _OUTPUT_DIGEST
 
 
 def test_usage_errors(capsys):

@@ -661,6 +661,29 @@ def test_non_complex_points_are_converted_as_complex_does(p3, lat3, z):
     assert type(checked) is complex and repr(checked) == repr(want)
 
 
+@pytest.mark.parametrize("z", [1, 0.3, "0.3+0.7j", _TaggedComplex(0.3, 0.7)], ids=repr)
+def test_values_convert_non_complex_points_as_complex_does(lat3, z):
+    # one non-complex point converts them all, as complex() of each did
+    pts = [0.1 + 0.2j, z, 0.2 + 0.1j]
+    want = [repr(v) for v in essential_R_values([complex(p) for p in pts], lat3)]
+    assert [repr(v) for v in essential_R_values(pts, lat3)] == want
+    assert [repr(v) for v in essential_R_values(iter(pts), lat3)] == want
+
+
+@pytest.mark.parametrize(
+    "bad", ["x", None, [1], "nan", _TaggedComplex(math.nan, 0.0)], ids=repr
+)
+def test_values_reject_bad_points_as_complex_does(lat3, bad):
+    # the exception a conversion of every point, then the finiteness check, raises
+    pts = [0.1 + 0.2j, bad, complex(math.inf, 0.0)]
+    with pytest.raises(Exception) as want:
+        [_check_z(z) for z in map(complex, pts)]
+    with pytest.raises(Exception) as got:
+        essential_R_values(pts, lat3)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 # --- the kernel's range: beta up to about 1.67e153 ---------------------------
 
 def test_largest_supported_beta_matches_mpmath():

@@ -1,5 +1,6 @@
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_config_counts_must_be_integers(kw):
 def test_svg_structure():
     svg = render_figure(FigureConfig(**SMALL))
     assert svg.startswith("<svg ")
-    assert svg.rstrip().endswith("</svg>")
+    assert svg.endswith("</svg>\n")
     assert 'width="800" height="800"' in svg
     assert svg.count('<g data-line=') == 2 * (4 + 1)
     assert svg.count("<circle") == 2
@@ -70,6 +71,17 @@ def test_svg_structure():
     assert 'id="blue-lines"' in svg
     assert 'id="mirror-red"' in svg
     assert 'id="mirror-blue"' in svg
+    # well-formed XML, with the default clip and one that cuts finite values:
+    # 2(L + 1) line groups, every polyline of 2 points or more
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    for clip in (None, 1.0):
+        root = ET.fromstring(render_figure(FigureConfig(clip_radius=clip, **SMALL)))
+        groups = root.findall(".//svg:g[@data-line]", ns)
+        assert len(groups) == 2 * (SMALL["lines_per_axis"] + 1)
+        polylines = root.findall(".//svg:polyline", ns)
+        assert polylines
+        for poly in polylines:
+            assert len(poly.get("points").split(" ")) >= 2, clip
 
 
 def test_deterministic_output():
@@ -333,7 +345,9 @@ def _ref_groups(quarter, L, S, clip):
     return [f'<g data-line="{k}">{_ref_polylines(line)}</g>' for k, line in enumerate(lines)]
 
 
-@pytest.mark.parametrize("clip", [None, 1.0])
+# None and 1.0 break lines at poles and clipped values; under 1e300 only the
+# poles at the ends of lines 0 and L break, so every group is one polyline
+@pytest.mark.parametrize("clip", [None, 1.0, 1e300])
 @pytest.mark.parametrize("L,S", [(16, 512), (5, 33), (4, 32), (6, 20), (7, 16)])
 @pytest.mark.parametrize("beta", [None, 1.0 + 1e-6, 1.2, 3.0, 50.0, 1e12])
 def test_svg_matches_point_by_point_printer(monkeypatch, beta, L, S, clip):
@@ -351,11 +365,17 @@ def test_svg_matches_point_by_point_printer(monkeypatch, beta, L, S, clip):
     assert len(seen) == 2
     radius = cfg.resolved_clip()
     red, blue = (_ref_groups(q, L, S, radius) for q in seen)
-    if clip is not None:
+    if clip == 1.0:
         # the unit clip cuts finite values as well as the poles
         assert any(
             not is_pole(v) and abs(v) > radius for q in seen for line in q for v in line
         )
+    if clip == 1e300:
+        assert all(body.count("<polyline ") == 1 for _, body in _GROUP_RE.findall(svg))
+    for line in (line for q in seen for line in q):
+        # the flag that writes a line as one polyline: no break token printed
+        text, whole = octell.figure._printed(line, radius)
+        assert whole == ("inf,0 " not in text)
     frame = [line for line in svg.split("\n") if not line.startswith("<g data-line=")]
     want = "\n".join([*frame[:2], *red, *frame[2:4], *blue, *frame[4:]])
     if svg != want:
