@@ -7,6 +7,7 @@ an --out file that cannot be written).
 from __future__ import annotations
 
 import functools
+import math
 import sys
 
 from . import __version__
@@ -71,6 +72,12 @@ def _emit_json(obj, out: str | None) -> None:
 def _cmd_params(args) -> int:
     params = derive_params(args.beta)
     lat = compute_lattice(params)
+    if not all(map(math.isfinite, (*params, lat.omega1, lat.omega2_im))):
+        # g3 ~ -8 beta^3/27 is the first constant past the largest double
+        raise ValueError(
+            f"beta = {params.beta!r} is out of range for params: g3 overflows "
+            "a double from beta ~ 8.47e102"
+        )
     obj = {
         "schema": 1,
         **params._asdict(),

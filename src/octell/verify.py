@@ -23,16 +23,17 @@ never calls the evaluator.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from collections import namedtuple
+from itertools import filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from ._backend import CurveParams, Lattice, compute_lattice, derive_params
 from .evaluate import (
     POLE,
     _nv_json,
-    conj,
     essential_R,
     essential_R_values,
     invert_omega1,
@@ -103,27 +104,17 @@ class VerificationReport(
 
     def to_json(self) -> str:
         """The report as text, byte-identical to
-        json.dumps(self.to_json_obj(), indent=2), written in one pass through
-        fixed templates rather than through the indenting encoder, with one
-        repr per distinct magnitude."""
-        num = _Reprs().num
+        json.dumps(self.to_json_obj(), indent=2).
+
+        The per_node array is one `%` on a skeleton of its nodes, built once
+        for each shape of nodes, and each distinct number in it is written
+        by one repr."""
         return _REPORT % (
             _num(self.beta),
             _num(self.tol),
             _BOOL[self.orientation_flipped],
             _json_str(self.verdict),
-            _array([
-                _NODE % (
-                    c.m,
-                    c.n,
-                    _json_str(c.symbol),
-                    _nv_text(c.closed, num),
-                    _nv_text(c.numeric, num),
-                    num(c.abs_err, _finite_text),
-                    num(c.rel_err, _finite_text),
-                )
-                for c in self.per_node
-            ]),
+            _per_node_text(self.per_node),
             _array([
                 _PROPERTY
                 % (_json_str(p.name), _BOOL[p.passed], _json_str(p.detail))
@@ -166,6 +157,10 @@ _PROPERTY = """    {
     }"""
 _BOOL = {True: "true", False: "false"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the node value kinds written as fixed text, by type
+_MARKERS = {type(POLE): '"pole"', type(None): '"inconclusive"'}
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
 
 
 def _num(x: float) -> str:
@@ -178,41 +173,79 @@ def _finite_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
 
 
-class _Reprs(dict):
-    """repr of each float magnitude that one `to_json` call writes.
-
-    repr(-x) is "-" + repr(x) for finite x != 0, so a negative number shares
-    its magnitude's entry. Zeros (a key 0.0 would also match -0.0), NaN,
-    +-inf and non-floats (a key 1.0 would also match 1) are not memoized.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, x: float) -> str:
-        text = self[x] = repr(x)
-        return text
-
-    def num(self, x: float, other=_num) -> str:
-        """x as `other` writes it, `_num` by default; a memoized magnitude
-        is written only once per `to_json` call."""
-        if x.__class__ is float:
-            if 0.0 < x < math.inf:
-                return self[x]
-            if -math.inf < x < 0.0:
-                return "-" + self[-x]
-        return other(x)
-
-
-def _nv_text(v, num) -> str:
-    if v is None:
-        return '"inconclusive"'
-    if v is POLE:
-        return '"pole"'
-    return _VALUE % (num(v.real), num(v.imag))
-
-
 def _array(blocks: list) -> str:
     return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+
+
+@functools.lru_cache(maxsize=1)
+def _node_skeleton(shape: tuple) -> tuple:
+    """The per_node text of every report whose nodes have this shape, as
+    (skeleton, picks, order).
+
+    shape is the nodes' m, n, symbols and closed and numeric value types.
+    The skeleton writes them in, pole and inconclusive values as their
+    markers, and leaves a %s for each number. A report lists its numbers as
+    the real parts of its values, their imaginary parts, the abs_errs and the
+    rel_errs, its values being the picks of closed + numeric; order gets the
+    numbers' texts in the skeleton's order. One shape is kept: every
+    `verify_grid` report has the same.
+    """
+    ms, ns, symbols, closed, numeric = shape
+    count = len(ms)
+    picks = [i for i, t in enumerate(closed + numeric) if t not in _MARKERS]
+    slot = dict(zip(picks, range(len(picks))))
+    errs = 2 * len(picks)
+    blocks, order = [], []
+    for k, (m, n, symbol) in enumerate(zip(ms, ns, symbols)):
+        fields = []
+        for i, kind in ((k, closed[k]), (count + k, numeric[k])):
+            if i in slot:
+                order += (slot[i], len(picks) + slot[i])
+                fields.append(_VALUE % ("%s", "%s"))
+            else:
+                fields.append(_MARKERS[kind])
+        order += (errs + k, errs + count + k)
+        blocks.append(_NODE % (
+            m, n, _json_str(symbol).replace("%", "%%"), *fields, "%s", "%s"
+        ))
+    # two error slots a node: order is never one index, so it gives a tuple
+    return _array(blocks), picks, operator.itemgetter(*order)
+
+
+def _per_node_text(nodes: tuple) -> str:
+    """The per_node array of `to_json`: the nodes' skeleton filled with the
+    texts of their numbers."""
+    if not nodes:
+        return "[]"
+    ms, ns, symbols, closed, numeric, abs_errs, rel_errs = zip(*nodes)
+    skeleton, picks, order = _node_skeleton(
+        (ms, ns, symbols, tuple(map(type, closed)), tuple(map(type, numeric)))
+    )
+    values = list(map((closed + numeric).__getitem__, picks))
+    nums = [*map(_REAL, values), *map(_IMAG, values), *abs_errs, *rel_errs]
+    texts = _number_texts(nums, 2 * len(values))
+    return skeleton % order(texts)
+
+
+def _number_texts(nums: list, parts: int) -> list:
+    """The JSON text of each of nums: the first `parts` as json.dumps writes
+    a number, the rest, errors, as null where not finite.
+
+    Equal numbers share the text of one repr, unless that could be wrong:
+    then each number is written alone. That is where one is not a float (1
+    and 1.0 are equal), is -0.0 (equal to 0.0), or is a NaN or infinity (an
+    error writes null, a value part NaN or Infinity).
+    """
+    distinct = set(nums)
+    if (
+        {*map(type, nums)} == {float}
+        and all(map(math.isfinite, distinct))
+        and not (0.0 in distinct and -1.0 in map(
+            math.copysign, repeat(1.0), filterfalse(None, nums)
+        ))
+    ):
+        return list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, nums))
+    return [*map(_num, nums[:parts]), *map(_finite_text, nums[parts:])]
 
 
 def _node_z(lat: Lattice, m: int, n: int) -> complex:
@@ -378,13 +411,14 @@ def verify_claims(
     # (d) +-1 occur exactly at the order-4 nodes
     plus = set()
     minus = set()
-    for m, n, _sym, val in table:
-        if val is POLE:
-            continue
-        if abs(val - 1.0) <= 1e-9:
-            plus.add((m, n))
-        if abs(val + 1.0) <= 1e-9:
-            minus.add((m, n))
+    for n, row in enumerate(table._values):
+        for m, val in enumerate(row):
+            if val is POLE:
+                continue
+            if abs(val - 1.0) <= 1e-9:
+                plus.add((m, n))
+            if abs(val + 1.0) <= 1e-9:
+                minus.add((m, n))
     ok_d = plus == {(2, 0), (6, 0), (2, 8), (6, 8)} and minus == {(2, 4), (6, 4)}
     results.append(
         PropertyResult(
@@ -410,6 +444,10 @@ def verify_claims(
 # ---------------------------------------------------------------------------
 # grid verification
 
+# sample j of an inversion line lies at _LINE_T[j] * omega/17 along it
+_LINE_T = [(j + 0.3) * 2.0 for j in range(17)]
+
+
 def _report_points(lat: Lattice) -> list:
     """The 183 points of a report's one kernel call: the 81 nodes (m outer,
     n inner), then red lines k = 2, 4, 6 and then blue lines k = 2, 4, 6 at
@@ -425,11 +463,13 @@ def _report_points(lat: Lattice) -> list:
     because R is even and 2*omega1-periodic.
     """
     w1, w2i = lat.omega1, lat.omega2_im
-    lines = [(k, j) for k in (2, 4, 6) for j in range(17)]
+    ys = [n * w2i / 4.0 for n in range(9)]
+    red_xs = [t * w1 / 17.0 for t in _LINE_T]
+    blue_ys = [t * w2i / 17.0 for t in _LINE_T]
     return (
-        [_node_z(lat, m, n) for m in range(9) for n in range(9)]
-        + [complex((j + 0.3) * 2.0 * w1 / 17.0, k * w2i / 8.0) for k, j in lines]
-        + [complex(k * w1 / 8.0, (j + 0.3) * 2.0 * w2i / 17.0) for k, j in lines]
+        [complex(x, y) for x in [m * w1 / 4.0 for m in range(9)] for y in ys]
+        + [complex(x, y) for y in [k * w2i / 8.0 for k in (2, 4, 6)] for x in red_xs]
+        + [complex(x, y) for x in [k * w1 / 8.0 for k in (2, 4, 6)] for y in blue_ys]
     )
 
 
@@ -452,47 +492,52 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     lat = compute_lattice(params)
     table = grid_table(params)
     vals = essential_R_values(_report_points(lat), lat)
-    numeric = [vals[i : i + 9] for i in range(0, 81, 9)]
     red, blue = vals[81:132], vals[132:]
     oracle = half_argument_oracle(params, lat)
 
-    # one pass over the nodes: closed forms vs the evaluator against tol, and
-    # the worst pairwise error of the nodes where all three sources are finite
+    # one pass over the nodes, a table row at a time: closed forms vs the
+    # evaluator against tol, the worst pairwise error of the nodes where all
+    # three sources are finite, and each evaluator value conjugated into its
+    # mirror node (m, 8 - n) for the conjugate check
     per_node = []
+    mirrored = [None] * 81
     triple = 0.0
     bad = []
     inconclusive = []
-    for m, n, symbol, closed in table:
-        num, orc = numeric[m][n], oracle[m][n]
-        if (closed is POLE) != (num is POLE):
-            abs_err = rel_err = math.inf
-        elif closed is POLE:
-            abs_err = rel_err = 0.0
-        else:
-            abs_err = d = abs(closed - num)
-            s = abs(closed)
-            rel_err = d / s if s > 1.0 else d
-        per_node.append(NodeCheck(m, n, symbol, closed, num, abs_err, rel_err))
-        if orc is None:
-            inconclusive.append((m, n))
-        elif len({closed is POLE, num is POLE, orc is POLE}) == 2:
-            bad.append((m, n))
-        elif orc is not POLE:  # all three finite, and s = |closed|
-            d = abs(closed - orc)
-            err_closed = d / s if s > 1.0 else d
-            d = abs(num - orc)
-            s_num = abs(num)
-            err_num = d / s_num if s_num > 1.0 else d
-            for err in (rel_err, err_closed, err_num):
-                if err > triple:
-                    triple = err
+    for n, symbols, closed_row, oracle_row in zip(
+        range(9), table._symbols, table._values, zip(*oracle)
+    ):
+        for m, symbol, closed, num, orc in zip(
+            range(9), symbols, closed_row, vals[n:81:9], oracle_row
+        ):
+            # the conjugate's signed zeros leave every |a - b| unchanged
+            mirrored[9 * m + 8 - n] = num if num is POLE else num.conjugate()
+            if closed is POLE or num is POLE:
+                abs_err = rel_err = 0.0 if closed is num else math.inf
+            else:
+                abs_err = d = abs(closed - num)
+                s = abs(closed)
+                rel_err = d / s if s > 1.0 else d
+            per_node.append(NodeCheck(m, n, symbol, closed, num, abs_err, rel_err))
+            if orc is None:
+                inconclusive.append((m, n))
+            elif not (closed is POLE) == (num is POLE) == (orc is POLE):
+                bad.append((m, n))
+            elif orc is not POLE:  # all three finite, and s = |closed|
+                d = abs(closed - orc)
+                err_closed = d / s if s > 1.0 else d
+                d = abs(num - orc)
+                s_num = abs(num)
+                err_num = d / s_num if s_num > 1.0 else d
+                for err in (rel_err, err_closed, err_num):
+                    if err > triple:
+                        triple = err
     note = ""
     if inconclusive:
         note += f"; inconclusive oracle nodes {inconclusive}"
     if bad:
         note += f"; pole/finite disagreement at {bad}"
 
-    axes = [(k, 0) for k in range(9)] + [(0, k) for k in range(9)]
     props = verify_claims(params, lat, table) + [
         _worst_check(
             "triple_source_agreement",
@@ -506,7 +551,8 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             AXES_TOL,
             "max scaled err",
             _worst(
-                [table.value(m, n) for m, n in axes], [oracle[m][n] for m, n in axes]
+                [*table._values[0], *[row[0] for row in table._values]],
+                [*[col[0] for col in oracle], *oracle[0]],
             ),
         ),
         # Schwarz reflection between mirror rows: node (m, n) against the
@@ -515,10 +561,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             "conjugate_node_consistency",
             CONJ_TOL,
             "max scaled err",
-            _worst(
-                vals[:81],
-                [conj(v) for col in numeric for v in col[::-1]],
-            ),
+            _worst(vals[:81], mirrored),
         ),
         _inversion_check(
             "red_circle_inverts_red_lines", red, invert_omega2(red, params)

@@ -100,14 +100,18 @@ def test_params_finite_at_1e100(capsys):
     assert all(math.isfinite(v) for v in numbers)
 
 
-@pytest.mark.parametrize("beta", ["1e150", "1e300"])
+@pytest.mark.parametrize("beta", ["1e103", "1e150", "1e300"])
 def test_params_overflow_is_domain_error(capsys, beta):
     # params builds no theta constants, but g3 overflows to -inf from
-    # beta ~ 8.47e102 and g2 is NaN from ~4.02e154: neither is JSON
+    # beta ~ 8.47e102 and g2 is NaN from ~4.02e154: neither is JSON, so
+    # params refuses the beta before encoding
     assert run(["params", "--beta", beta]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("octell: error: ")
+    assert captured.err == (
+        f"octell: error: beta = {float(beta)!r} is out of range for params: "
+        "g3 overflows a double from beta ~ 8.47e102\n"
+    )
 
 
 def test_grid_json(capsys):

@@ -203,15 +203,17 @@ def test_to_json_matches_json_dumps_at_seeded_betas(monkeypatch):
 
 def test_to_json_matches_json_dumps_on_edge_values():
     # every value kind a node can hold, non-finite errors and complex parts,
-    # signed zeros, strings that need escaping, and int errors equal to
-    # floats written before them
+    # signed zeros, strings that need escaping, symbols holding the
+    # skeleton's format characters, int errors equal to floats written
+    # before them, and a float and an int error of equal value
     odd = 'q" b\\ \x07 \x7f \u03b2 \U0001d53c'
     nodes = (
         NodeCheck(0, 0, odd, POLE, POLE, 0.0, 0.0),
-        NodeCheck(1, 0, "a", None, complex(-0.0, 0.0), math.inf, math.inf),
-        NodeCheck(0, 1, "b", POLE, complex(math.nan, math.inf), math.nan, -1.0),
-        NodeCheck(8, 8, "c", complex(-math.inf, -0.0), 5e-324j, 1e300, -math.inf),
-        NodeCheck(2, 0, "d", complex(1.0, -2.5), complex(-1.0, 2.5), 1, -1),
+        NodeCheck(1, 0, "50%", None, complex(-0.0, 0.0), math.inf, math.inf),
+        NodeCheck(0, 1, "%s", POLE, complex(math.nan, math.inf), math.nan, -1.0),
+        NodeCheck(8, 8, "%%", complex(-math.inf, -0.0), 5e-324j, 1e300, -math.inf),
+        NodeCheck(2, 0, "%(m)s", complex(1.0, -2.5), complex(-1.0, 2.5), 1, -1),
+        NodeCheck(3, 0, "100%d", 0.5j, 0.5j, 2.0, 2),
     )
     props = (
         PropertyResult(odd, True, "tab\there"),
@@ -222,6 +224,58 @@ def test_to_json_matches_json_dumps_on_edge_values():
         assert rep.to_json() == _dumps(rep)
     empty = VerificationReport(3.0, 5, False, (), (), "pass")
     assert empty.to_json() == _dumps(empty)
+
+    # node shapes written in the order A, B, A, C, A, where C differs from A
+    # in one value kind alone, then a real report: one skeleton is kept
+    a = tuple(
+        NodeCheck(m, 0, sym, complex(m, -0.5), complex(m, 0.5), 0.0, 1e-12)
+        for m, sym in enumerate(("50%", "%s", "%%"))
+    )
+    b = (
+        NodeCheck(0, 0, "inf", POLE, POLE, 0.0, 0.0),
+        NodeCheck(1, 0, "%s", None, 0.25j, math.inf, math.inf),
+    )
+    c = (a[0]._replace(closed=POLE, abs_err=math.inf, rel_err=math.inf), *a[1:])
+    for rep in [
+        *(VerificationReport(3.0, 1e-9, False, x, (), "pass") for x in (a, b, a, c, a)),
+        verify_grid(3.0),
+    ]:
+        assert rep.to_json() == _dumps(rep)
+        assert octell.verify._node_skeleton.cache_info().currsize <= 1
+
+
+# Reports whose numbers are finite floats but for one kind of number that
+# equal numbers do not share the text of: each alone, beside the +0.0 and
+# finite floats of every real report.
+_ONE_ODD_NUMBER = {
+    "negative zero": (complex(-0.0, 0.5), 0.25, 0.0),
+    "int error equal to a float error": (0.5 + 0.5j, 2.0, 2),
+    "int error before the equal float": (0.5 + 0.5j, 2, 2.0),
+    "int parts equal to float numbers": (2, 2.0, 0.0),
+    "NaN part": (complex(math.nan, 0.5), 0.25, 0.0),
+    "infinite part": (complex(0.5, -math.inf), 0.25, 0.0),
+    "NaN error": (0.5 + 0.5j, math.nan, 0.0),
+    "infinite error": (0.5 + 0.5j, 0.25, math.inf),
+}
+
+
+@pytest.mark.parametrize("odd", list(_ONE_ODD_NUMBER))
+def test_to_json_writes_each_odd_number_as_json_dumps(odd):
+    value, abs_err, rel_err = _ONE_ODD_NUMBER[odd]
+    plain = NodeCheck(2, 0, "1", 1.0 + 0.0j, complex(1.0, 0.0), 0.0, 0.5)
+    for nodes in (
+        (plain, NodeCheck(1, 0, "x", value, 0.5 + 0.0j, abs_err, rel_err)),
+        (NodeCheck(1, 0, "x", 0.5 + 0.0j, value, rel_err, abs_err), plain),
+    ):
+        rep = VerificationReport(3.0, 1e-9, False, nodes, (), "fail")
+        assert rep.to_json() == _dumps(rep)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=-6.0, max_value=math.log10(3e7)))
+def test_to_json_matches_json_dumps_over_the_table_domain(log_gap):
+    rep = verify_grid(1.0 + 10.0 ** log_gap)
+    assert rep.to_json() == json.dumps(rep.to_json_obj(), indent=2)
 
 
 def test_property_results_all_pass():
