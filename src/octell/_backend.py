@@ -80,6 +80,10 @@ class _Pole:
     def __repr__(self) -> str:
         return "POLE"
 
+    def __reduce__(self) -> str:
+        # pickled by name, and copied as itself: there is one POLE
+        return "POLE"
+
 
 POLE = _Pole()
 

@@ -94,7 +94,7 @@ def _cmd_grid(args) -> int:
     table = grid_table(params)
     if args.format == "csv":
         lines = ["m,n,symbol,re,im"]
-        for m, n, sym, val in table:
+        for m, n, sym, val in table.nodes():
             if is_pole(val):
                 lines.append(f"{m},{n},{sym},,")
             else:
@@ -102,7 +102,7 @@ def _cmd_grid(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     entries = []
-    for m, n, sym, val in table:
+    for m, n, sym, val in table.nodes():
         if is_pole(val):
             entries.append({"m": m, "n": n, "symbol": sym, "value": "pole"})
         else:

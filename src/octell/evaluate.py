@@ -48,16 +48,19 @@ def conj(v: NodeValue) -> NodeValue:
     return v if v is POLE or v is None else v.conjugate() + 0.0
 
 
-def mirror_block(block: list, flip=conj) -> list:
-    """The 9x9 node grid from its 5x5 quarter block.
+def mirror_block(block, flip=conj) -> tuple:
+    """The node grid, a tuple of row tuples, from its quarter block.
 
-    R is even and R(conj z) = conj R(z): with e the entry at (i, j) and
-    e' = flip(e), (8 - i, j) and (i, 8 - j) get e', and (8 - i, 8 - j) gets e.
+    R is even and R(conj z) = conj R(z): with k = len(block) - 1, e the entry
+    at (i, j) and e' = flip(e), (2k - i, j) and (i, 2k - j) get e', and
+    (2k - i, 2k - j) gets e.
     """
+    k = len(block) - 1
     pairs = [(row, [flip(e) for e in row]) for row in block]
-    return [[*b, *reversed(m[:4])] for b, m in pairs] + [
-        [*m, *reversed(b[:4])] for b, m in reversed(pairs[:4])
-    ]
+    return tuple(
+        [(*b, *reversed(m[:k])) for b, m in pairs]
+        + [(*m, *reversed(b[:k])) for b, m in reversed(pairs[:k])]
+    )
 
 
 def invert_omega1(values: list) -> list:

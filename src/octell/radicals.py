@@ -102,13 +102,7 @@ def _gamma4_all(beta: float) -> tuple[complex, complex, complex, complex]:
     sb1 = math.sqrt(beta + 1.0)
     core = beta / math.sqrt(beta - 1.0)
     inv_sb1 = 1.0 / sb1
-    f_neg = branch_radicand(beta)   # double root at beta = b
-    if f_neg < 0.0:
-        if f_neg < -1e-12:
-            raise ValueError(
-                f"gamma4 radicand unexpectedly negative ({f_neg}) at beta={beta}"
-            )
-        f_neg = 0.0
+    f_neg = max(branch_radicand(beta), 0.0)   # double root at beta = b
     x = 1.0 - 1.0 / beta
     y = math.sqrt(1.0 - 1.0 / (beta * beta))
     half = math.sqrt((beta + 1.0) / 2.0)
@@ -173,51 +167,26 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     )
 
 
-class ClosedFormTable:
+class ClosedFormTable(namedtuple("ClosedFormTable", "beta values symbols")):
     """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
-    An immutable record of beta and the rows n = 0..8 of values and of
-    symbols, each row a 9-tuple over m. It is not a tuple of its fields,
-    because iterating it yields the nodes.
+    values and symbols are the rows n = 0..8 of node values and of their
+    printed symbols, each row a 9-tuple over m.
     """
 
-    __slots__ = ("beta", "_values", "_symbols")
-
-    def __init__(self, beta: float, _values: tuple, _symbols: tuple):
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "_values", _values)
-        object.__setattr__(self, "_symbols", _symbols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.beta, self._values, self._symbols)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "ClosedFormTable(beta=%r, _values=%r, _symbols=%r)" % self._key()
+    __slots__ = ()
 
     def value(self, m: int, n: int) -> NodeValue:
-        return self._values[n][m]
+        return self.values[n][m]
 
     def symbol(self, m: int, n: int) -> str:
-        return self._symbols[n][m]
+        return self.symbols[n][m]
 
-    def __iter__(self) -> Iterator[tuple[int, int, str, NodeValue]]:
-        for n in range(9):
-            for m in range(9):
-                yield m, n, self._symbols[n][m], self._values[n][m]
+    def nodes(self) -> Iterator[tuple[int, int, str, NodeValue]]:
+        """(m, n, symbol, value) at every node, row by row."""
+        for n, symbols, values in zip(range(9), self.symbols, self.values):
+            for m, symbol, value in zip(range(9), symbols, values):
+                yield m, n, symbol, value
 
 
 # the quarter block m, n <= 4, one row a line; every complex name X is
@@ -230,19 +199,20 @@ _QUARTER_SYMBOLS = (
     "-beta*gamma01 conj(gamma41) -beta*conj(gamma_lo) conj(gamma42) -beta*gamma13",
     "-beta beta0*beta2 -1 beta1*beta3 -1/beta",
 )
-_SYMBOLS = tuple(map(tuple, mirror_block(
+_SYMBOLS = mirror_block(
     [row.split() for row in _QUARTER_SYMBOLS],
     lambda sym: sym.replace("conj(", "").replace(")", ""),
-)))
+)
 
 # the quarter block's values as one function of beta, beta0..beta3 (beta_seq),
 # beta_minus, beta_plus (beta_pm) and the catalog's fields, compiled once from
-# the symbols above: `inf` is POLE, every other entry complex(symbol)
+# the symbols above: `inf` is POLE, every other entry complex(symbol) + 0j,
+# which turns a -0.0 part into 0.0 as `conj` does for the mirrored nodes
 _quarter_values = eval(
     "lambda beta, beta0, beta1, beta2, beta3, beta_minus, beta_plus, %s: (%s)" % (
         ", ".join(RadicalCatalog._fields),
         ", ".join("(%s)" % ", ".join(
-            sym if sym == "inf" else "complex(%s)" % sym for sym in row.split()
+            sym if sym == "inf" else "complex(%s) + 0j" % sym for sym in row.split()
         ) for row in _QUARTER_SYMBOLS),
     ),
     {"__builtins__": {}, "complex": complex, "conj": complex.conjugate, "inf": POLE},
@@ -253,5 +223,4 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
     """The full table of closed-form values at the eighth-period nodes."""
     c = build_catalog(params)
     block = _quarter_values(params.beta, *c.beta_seq, *c.beta_pm, *c)
-    values = tuple(map(tuple, mirror_block(block)))
-    return ClosedFormTable(beta=params.beta, _values=values, _symbols=_SYMBOLS)
+    return ClosedFormTable(params.beta, mirror_block(block), _SYMBOLS)

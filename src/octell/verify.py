@@ -164,13 +164,16 @@ _IMAG = operator.attrgetter("imag")
 
 
 def _num(x: float) -> str:
-    """x as json.dumps writes a number: repr, or NaN, Infinity, -Infinity."""
+    """x as json.dumps writes a number: repr, or NaN, Infinity, -Infinity;
+    a bool, known by its type (1 and 1.0 equal True), as true or false."""
+    if type(x) is bool:
+        return _BOOL[x]
     text = repr(x)
     return _NON_FINITE.get(text, text)
 
 
 def _finite_text(x: float) -> str:
-    return repr(x) if math.isfinite(x) else "null"
+    return _num(x) if math.isfinite(x) else "null"
 
 
 def _array(blocks: list) -> str:
@@ -333,7 +336,8 @@ def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
 
 
 def half_argument_oracle(params: CurveParams, lat: Lattice):
-    """9x9 array (indexed [m][n]) of node values derived without the evaluator.
+    """9x9 tuple grid (indexed [m][n]) of node values derived without the
+    evaluator.
 
     None marks a node whose branch selection was inconclusive. lat is unused:
     the oracle needs only the curve.
@@ -411,7 +415,7 @@ def verify_claims(
     # (d) +-1 occur exactly at the order-4 nodes
     plus = set()
     minus = set()
-    for n, row in enumerate(table._values):
+    for n, row in enumerate(table.values):
         for m, val in enumerate(row):
             if val is POLE:
                 continue
@@ -505,7 +509,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     bad = []
     inconclusive = []
     for n, symbols, closed_row, oracle_row in zip(
-        range(9), table._symbols, table._values, zip(*oracle)
+        range(9), table.symbols, table.values, zip(*oracle)
     ):
         for m, symbol, closed, num, orc in zip(
             range(9), symbols, closed_row, vals[n:81:9], oracle_row
@@ -551,7 +555,7 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             AXES_TOL,
             "max scaled err",
             _worst(
-                [*table._values[0], *[row[0] for row in table._values]],
+                [*table.values[0], *[row[0] for row in table.values]],
                 [*[col[0] for col in oracle], *oracle[0]],
             ),
         ),

@@ -87,7 +87,7 @@ def test_criterion_2_grid_reproduction(announce):
         params = derive_params(beta)
         lat = compute_lattice(params)
         table = grid_table(params)
-        for m, n, _sym, closed in table:
+        for m, n, _sym, closed in table.nodes():
             numeric = essential_R(node_z(lat, m, n), lat, params)
             if (m, n) in {(0, 0), (8, 0), (0, 8), (8, 8)}:
                 assert is_pole(closed) and is_pole(numeric), (m, n, beta)
@@ -111,7 +111,7 @@ def test_criterion_3_triple_source_agreement(announce):
         lat = compute_lattice(params)
         table = grid_table(params)
         oracle = half_argument_oracle(params, lat)
-        for m, n, _sym, closed in table:
+        for m, n, _sym, closed in table.nodes():
             third = oracle[m][n]
             assert third is not None, f"oracle inconclusive at ({m},{n}) beta={beta}"
             numeric = essential_R(node_z(lat, m, n), lat, params)

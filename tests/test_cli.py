@@ -281,7 +281,13 @@ def test_unwritable_out_is_domain_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("beta", ["1.2", "3"])
+# gamma02 rounds to exactly 0.0 here, so node (4, 1), -beta*gamma02, is a
+# computed zero; verify fails at this beta (ROADMAP item 15), and its text is
+# checked whatever the verdict
+_GAMMA02_ZERO_BETA = "26457611.54506085"
+
+
+@pytest.mark.parametrize("beta", ["1.2", "3", _GAMMA02_ZERO_BETA])
 @pytest.mark.parametrize(
     "argv",
     [["grid"], ["grid", "--format", "csv"], ["verify"]]
@@ -291,8 +297,9 @@ def test_no_negative_zero_printed(capsys, argv, beta):
     # eval prints one value: it runs at points on both axes, where the value
     # is real or imaginary and so has a zero part
     points = ("0.3", "-0.3", "0.3i", "-0.3i", "1", "-1", "i", "-i")
+    codes = (0, 1) if argv == ["verify"] and beta == _GAMMA02_ZERO_BETA else (0,)
     for z in points if argv[0] == "eval" else [None]:
-        assert run(argv + ["--beta", beta] + (["--z", z] if z else [])) == 0
+        assert run(argv + ["--beta", beta] + (["--z", z] if z else [])) in codes
     out = capsys.readouterr().out
     assert out.count("\n") > 80
     assert re.search(r"-0\.0(?!\d)", out) is None

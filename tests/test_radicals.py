@@ -193,7 +193,7 @@ def test_branch_radicand_minimum_at_b():
 
 def test_table_shape_and_corners(p3):
     t = grid_table(p3)
-    entries = list(t)
+    entries = list(t.nodes())
     assert len(entries) == 81
     for m, n in ((0, 0), (8, 0), (0, 8), (8, 8)):
         assert is_pole(t.value(m, n))

@@ -1,9 +1,14 @@
 """The public behaviour of the eight immutable records: field names and
 order, equality and hashing, the exact repr text and immutability; plus the
-node access of `ClosedFormTable` and the key order of `octell params`."""
+node access of `ClosedFormTable`, copying and pickling, and the key order of
+`octell params`."""
+import copy
+import pickle
+
 import pytest
 
 from octell import (
+    POLE,
     ClosedFormTable,
     CurveParams,
     FigureConfig,
@@ -11,8 +16,10 @@ from octell import (
     PropertyResult,
     RadicalCatalog,
     VerificationReport,
+    compute_lattice,
     derive_params,
     grid_table,
+    verify_grid,
 )
 from octell.cli import run
 from octell.verify import NodeCheck
@@ -26,7 +33,7 @@ RECORDS = [
         "gamma01 gamma23 beta_pm delta_pm gamma0 gamma_lo gamma_hi gamma41 "
         "gamma42 gamma43 gamma44 b_const",
     ),
-    (ClosedFormTable, "beta _values _symbols"),
+    (ClosedFormTable, "beta values symbols"),
     (FigureConfig, "beta lines_per_axis samples_per_line viewport clip_radius"),
     (PropertyResult, "name passed detail"),
     (NodeCheck, "m n symbol closed numeric abs_err rel_err"),
@@ -100,18 +107,31 @@ def test_lattice_theta_is_cached_outside_the_fields():
 
 def test_closed_form_table_access():
     table = grid_table(derive_params(3.0))
-    entries = list(table)
+    entries = list(table.nodes())
     assert len(entries) == 81
     assert [(m, n) for m, n, _, _ in entries] == [
         (m, n) for n in range(9) for m in range(9)
     ]
     for m, n, sym, val in entries:
-        assert sym == table.symbol(m, n) == table._symbols[n][m]
-        assert val is table.value(m, n) is table._values[n][m]
+        assert sym == table.symbol(m, n) == table.symbols[n][m]
+        assert val is table.value(m, n) is table.values[n][m]
     assert table.symbol(2, 1) == "-beta*conj(gamma_hi)"
     assert table.value(2, 4) == -1.0
     assert table == grid_table(derive_params(3.0))
     assert table != grid_table(derive_params(2.0))
+
+
+def test_records_survive_pickle_and_copy():
+    params = derive_params(3.0)
+    lat = compute_lattice(params)
+    lat.theta  # built, so its cached value is pickled and copied too
+    for rec in (grid_table(params), verify_grid(3.0), lat):
+        for clone in (
+            pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)
+        ):
+            assert clone == rec
+    for clone in (pickle.loads(pickle.dumps(POLE)), copy.copy(POLE), copy.deepcopy(POLE)):
+        assert clone is POLE
 
 
 def test_params_json_key_order(capsys):

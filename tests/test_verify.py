@@ -107,7 +107,7 @@ def _refuse_node_1_1(monkeypatch):
     real_oracle = octell.verify.half_argument_oracle
 
     def one_refused(params, lat):
-        T = real_oracle(params, lat)
+        T = [list(col) for col in real_oracle(params, lat)]
         T[1][1] = None
         return T
 
@@ -120,9 +120,9 @@ def _swap_table_nodes_1_0_and_3_0(monkeypatch):
 
     def swapped(params):
         t = real_table(params)
-        row = list(t._values[0])
+        row = list(t.values[0])
         row[1], row[3] = row[3], row[1]
-        return ClosedFormTable(t.beta, (tuple(row), *t._values[1:]), t._symbols)
+        return ClosedFormTable(t.beta, (tuple(row), *t.values[1:]), t.symbols)
 
     monkeypatch.setattr(octell.verify, "grid_table", swapped)
 
@@ -133,7 +133,7 @@ def _mirror_table_rows(monkeypatch):
 
     def mirrored(params):
         t = real_table(params)
-        return ClosedFormTable(t.beta, t._values[::-1], t._symbols[::-1])
+        return ClosedFormTable(t.beta, t.values[::-1], t.symbols[::-1])
 
     monkeypatch.setattr(octell.verify, "grid_table", mirrored)
 
@@ -144,10 +144,10 @@ def _pole_in_table_at_2_2(monkeypatch):
 
     def poled(params):
         t = real_table(params)
-        row = list(t._values[2])
+        row = list(t.values[2])
         row[2] = POLE
         return ClosedFormTable(
-            t.beta, (*t._values[:2], tuple(row), *t._values[3:]), t._symbols
+            t.beta, (*t.values[:2], tuple(row), *t.values[3:]), t.symbols
         )
 
     monkeypatch.setattr(octell.verify, "grid_table", poled)
@@ -256,6 +256,7 @@ _ONE_ODD_NUMBER = {
     "infinite part": (complex(0.5, -math.inf), 0.25, 0.0),
     "NaN error": (0.5 + 0.5j, math.nan, 0.0),
     "infinite error": (0.5 + 0.5j, 0.25, math.inf),
+    "bool error": (0.5 + 0.5j, True, 0.0),
 }
 
 
@@ -306,7 +307,7 @@ def test_oracle_matches_closed_forms(beta):
     lat = compute_lattice(params)
     table = grid_table(params)
     oracle = half_argument_oracle(params, lat)
-    for m, n, _sym, closed in table:
+    for m, n, _sym, closed in table.nodes():
         got = oracle[m][n]
         assert got is not None, f"inconclusive at ({m},{n})"
         if is_pole(closed):
