@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 import operator
 from collections import namedtuple
@@ -106,149 +107,104 @@ class VerificationReport(
         """The report as text, byte-identical to
         json.dumps(self.to_json_obj(), indent=2).
 
-        The per_node array is one `%` on a skeleton of its nodes, built once
-        for each shape of nodes, and each distinct number in it is written
-        by one repr."""
-        return _REPORT % (
-            _num(self.beta),
-            _num(self.tol),
-            _BOOL[self.orientation_flipped],
-            _json_str(self.verdict),
-            _per_node_text(self.per_node),
-            _array([
-                _PROPERTY
-                % (_json_str(p.name), _BOOL[p.passed], _json_str(p.detail))
-                for p in self.property_results
-            ]),
+        A report typed as `verify_grid` types it (finite float numbers, int m
+        and n, bool flags, str texts) is one `%` on json.dumps's own text of
+        a report of its shape, and each distinct number in it is written by
+        one repr. Any other report is written by json.dumps."""
+        nodes, props = self.per_node, self.property_results
+        ms, ns, symbols, closed, numeric, abs_errs, rel_errs = (
+            zip(*nodes) if nodes else ((),) * 7
         )
+        names, passes, details = zip(*props) if props else ((),) * 3
+        # the skeleton holds m, n and symbols: an equal 2.0 or True may not share it
+        if not ({*map(type, ms + ns)} <= {int} and {*map(type, symbols)} <= {str}):
+            return json.dumps(self.to_json_obj(), indent=2)
+        skeleton, picks, order = _node_skeleton((
+            ms, ns, symbols, tuple(map(type, closed)), tuple(map(type, numeric)),
+            len(props),
+        ))
+        values = list(map((closed + numeric).__getitem__, picks))
+        nums = [self.beta, self.tol, *map(_REAL, values), *map(_IMAG, values),
+                *abs_errs, *rel_errs]
+        flags = (self.orientation_flipped, *passes)
+        texts = (self.verdict, *names, *details)
+        distinct = set(nums)
+        if not (
+            {*map(type, nums)} == {float}
+            and all(map(math.isfinite, distinct))
+            # equal numbers share one repr, and 0.0 == -0.0
+            and not (0.0 in distinct and -1.0 in map(
+                math.copysign, repeat(1.0), filterfalse(None, nums)
+            ))
+            and {*map(type, flags)} == {bool}
+            and {*map(type, texts)} == {str}
+        ):
+            return json.dumps(self.to_json_obj(), indent=2)
+        reprs = dict(zip(distinct, map(repr, distinct)))
+        return skeleton % order([
+            *map(reprs.__getitem__, nums),
+            *map(_BOOL.__getitem__, flags),
+            *map(_json_str, texts),
+        ])
 
 
 def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-# `to_json`'s templates: the indent=2 layout of `to_json_obj`, one per level
-_REPORT = """{
-  "schema": 1,
-  "beta": %s,
-  "tol": %s,
-  "orientation_flipped": %s,
-  "verdict": %s,
-  "per_node": %s,
-  "property_results": %s
-}"""
-_NODE = """    {
-      "m": %d,
-      "n": %d,
-      "symbol": %s,
-      "closed": %s,
-      "numeric": %s,
-      "abs_err": %s,
-      "rel_err": %s
-    }"""
-_VALUE = """{
-        "re": %s,
-        "im": %s
-      }"""
-_PROPERTY = """    {
-      "name": %s,
-      "pass": %s,
-      "detail": %s
-    }"""
+_SLOT = 5e-324  # json.dumps writes it as 5e-324, which no fixed text holds
 _BOOL = {True: "true", False: "false"}
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the node value kinds written as fixed text, by type
-_MARKERS = {type(POLE): '"pole"', type(None): '"inconclusive"'}
 _REAL = operator.attrgetter("real")
 _IMAG = operator.attrgetter("imag")
 
 
-def _num(x: float) -> str:
-    """x as json.dumps writes a number: repr, or NaN, Infinity, -Infinity;
-    a bool, known by its type (1 and 1.0 equal True), as true or false."""
-    if type(x) is bool:
-        return _BOOL[x]
-    text = repr(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _finite_text(x: float) -> str:
-    return _num(x) if math.isfinite(x) else "null"
-
-
-def _array(blocks: list) -> str:
-    return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
-
-
 @functools.lru_cache(maxsize=1)
 def _node_skeleton(shape: tuple) -> tuple:
-    """The per_node text of every report whose nodes have this shape, as
-    (skeleton, picks, order).
+    """The text of every report of this shape, as (skeleton, picks, order).
 
-    shape is the nodes' m, n, symbols and closed and numeric value types.
-    The skeleton writes them in, pole and inconclusive values as their
-    markers, and leaves a %s for each number. A report lists its numbers as
-    the real parts of its values, their imaginary parts, the abs_errs and the
-    rel_errs, its values being the picks of closed + numeric; order gets the
-    numbers' texts in the skeleton's order. One shape is kept: every
-    `verify_grid` report has the same.
+    shape is the nodes' m, n and symbols, the types of their closed and
+    numeric values and the number of properties. The skeleton is json.dumps's
+    text of a report of that shape whose every other field, but a pole or an
+    inconclusive value, holds `_SLOT`, with %s in place of each and the
+    symbols then written in. `to_json` fills it from one list of field
+    texts: beta, tol, the real parts of the values (the picks of
+    closed + numeric), their imaginary parts, the abs_errs and the rel_errs;
+    orientation_flipped and each pass; the verdict, the names and the
+    details. order takes that list into the skeleton's order. One shape is
+    kept: every `verify_grid` report has the same.
     """
-    ms, ns, symbols, closed, numeric = shape
-    count = len(ms)
-    picks = [i for i, t in enumerate(closed + numeric) if t not in _MARKERS]
-    slot = dict(zip(picks, range(len(picks))))
-    errs = 2 * len(picks)
-    blocks, order = [], []
-    for k, (m, n, symbol) in enumerate(zip(ms, ns, symbols)):
-        fields = []
-        for i, kind in ((k, closed[k]), (count + k, numeric[k])):
-            if i in slot:
-                order += (slot[i], len(picks) + slot[i])
-                fields.append(_VALUE % ("%s", "%s"))
-            else:
-                fields.append(_MARKERS[kind])
-        order += (errs + k, errs + count + k)
-        blocks.append(_NODE % (
-            m, n, _json_str(symbol).replace("%", "%%"), *fields, "%s", "%s"
-        ))
-    # two error slots a node: order is never one index, so it gives a tuple
-    return _array(blocks), picks, operator.itemgetter(*order)
-
-
-def _per_node_text(nodes: tuple) -> str:
-    """The per_node array of `to_json`: the nodes' skeleton filled with the
-    texts of their numbers."""
-    if not nodes:
-        return "[]"
-    ms, ns, symbols, closed, numeric, abs_errs, rel_errs = zip(*nodes)
-    skeleton, picks, order = _node_skeleton(
-        (ms, ns, symbols, tuple(map(type, closed)), tuple(map(type, numeric)))
+    ms, ns, symbols, closed, numeric, count = shape
+    nodes = len(ms)
+    fixed = {type(POLE): POLE, type(None): None}
+    slotted = [fixed.get(t, complex(_SLOT, _SLOT)) for t in closed + numeric]
+    picks = [i for i, t in enumerate(closed + numeric) if t not in fixed]
+    report = VerificationReport(
+        _SLOT, _SLOT, _SLOT,
+        tuple(NodeCheck(m, n, _SLOT, c, v, _SLOT, _SLOT)
+              for m, n, c, v in zip(ms, ns, slotted, slotted[nodes:])),
+        (PropertyResult(_SLOT, _SLOT, _SLOT),) * count,
+        _SLOT,
     )
-    values = list(map((closed + numeric).__getitem__, picks))
-    nums = [*map(_REAL, values), *map(_IMAG, values), *abs_errs, *rel_errs]
-    texts = _number_texts(nums, 2 * len(values))
-    return skeleton % order(texts)
-
-
-def _number_texts(nums: list, parts: int) -> list:
-    """The JSON text of each of nums: the first `parts` as json.dumps writes
-    a number, the rest, errors, as null where not finite.
-
-    Equal numbers share the text of one repr, unless that could be wrong:
-    then each number is written alone. That is where one is not a float (1
-    and 1.0 are equal), is -0.0 (equal to 0.0), or is a NaN or infinity (an
-    error writes null, a value part NaN or Infinity).
-    """
-    distinct = set(nums)
-    if (
-        {*map(type, nums)} == {float}
-        and all(map(math.isfinite, distinct))
-        and not (0.0 in distinct and -1.0 in map(
-            math.copysign, repeat(1.0), filterfalse(None, nums)
-        ))
-    ):
-        return list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, nums))
-    return [*map(_num, nums[:parts]), *map(_finite_text, nums[parts:])]
+    skeleton = json.dumps(report.to_json_obj(), indent=2).replace(repr(_SLOT), "%s")
+    # where each run of fields starts in the list
+    real = dict(zip(picks, range(2, 2 + len(picks))))
+    errs = 2 + 2 * len(picks)
+    flags = errs + 2 * nodes
+    texts = flags + 1 + count
+    symbol = texts + 1 + 2 * count  # past the list: written in below
+    order = [0, 1, flags, texts]
+    for k in range(nodes):
+        order.append(symbol + k)
+        for i in (k, nodes + k):
+            if i in real:
+                order += (real[i], real[i] + len(picks))
+        order += (errs + k, errs + nodes + k)
+    for j in range(count):
+        order += (texts + 1 + j, flags + 1 + j, texts + 1 + count + j)
+    written = [_json_str(s).replace("%", "%%") for s in symbols]
+    skeleton %= tuple(written[i - symbol] if i >= symbol else "%s" for i in order)
+    order = [i for i in order if i < symbol]
+    return skeleton, picks, operator.itemgetter(*order)
 
 
 def _node_z(lat: Lattice, m: int, n: int) -> complex:

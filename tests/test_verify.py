@@ -272,6 +272,85 @@ def test_to_json_writes_each_odd_number_as_json_dumps(odd):
         assert rep.to_json() == _dumps(rep)
 
 
+# Reports with one field of a type `verify_grid` never gives it, as the
+# fields it replaces in one node, the one property and the report. json.dumps
+# writes each by its type: 2.0 as 2.0, True as true, 1 as 1, None as null.
+_ONE_ODD_FIELD = {
+    "float m": ({"m": 2.0}, {}, {}),
+    "bool m": ({"m": True}, {}, {}),
+    "float n": ({"n": 0.0}, {}, {}),
+    "int pass": ({}, {"passed": 1}, {}),
+    "int orientation_flipped": ({}, {}, {"orientation_flipped": 0}),
+    "non-str symbol": ({"symbol": 1}, {}, {}),
+    "non-str name": ({}, {"name": None}, {}),
+    "non-str detail": ({}, {"detail": 2.5}, {}),
+    "non-str verdict": ({}, {}, {"verdict": True}),
+}
+
+
+@pytest.mark.parametrize("odd", list(_ONE_ODD_FIELD))
+def test_to_json_writes_each_odd_field_as_json_dumps(odd):
+    node, prop, report = _ONE_ODD_FIELD[odd]
+    plain = NodeCheck(2, 0, "1", 1.0 + 0.0j, complex(1.0, 0.0), 0.0, 0.5)
+    other = NodeCheck(1, 0, "x", 0.5 + 0.0j, 0.5 + 0.5j, 0.25, 0.0)._replace(**node)
+    props = (PropertyResult("p", True, "d")._replace(**prop),)
+    for nodes in ((plain, other), (other, plain)):
+        rep = VerificationReport(3.0, 1e-9, False, nodes, props, "fail")
+        rep = rep._replace(**report)
+        assert rep.to_json() == _dumps(rep)
+
+
+def _reports(number, index, flag, value, text):
+    """Reports of 0-6 nodes and 0-3 properties with fields drawn from these."""
+    node = st.builds(NodeCheck, index, index, text, value, value, number, number)
+    prop = st.builds(PropertyResult, text, flag, text)
+    return st.builds(
+        VerificationReport, number, number, flag,
+        st.lists(node, max_size=6).map(tuple),
+        st.lists(prop, max_size=3).map(tuple),
+        text,
+    )
+
+
+# finite floats with -0.0 among them, and numbers a report often repeats
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 2.0, 5e-324]),
+)
+_ODD_FLOATS = st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["%s", "%%", "5e-324", "NaN", '"', "'", "\\", "\u03b2", "\U0001d53c"]),
+        st.text(max_size=3),
+    ),
+    max_size=4,
+).map("".join)
+# typed as verify_grid types them, and any type json.dumps writes
+_TYPED_REPORTS = _reports(
+    _FLOATS,
+    st.integers(0, 8),
+    st.booleans(),
+    st.one_of(st.just(POLE), st.none(), st.builds(complex, _FLOATS, _FLOATS)),
+    _TEXTS,
+)
+_ANY_REPORTS = _reports(
+    st.one_of(_ODD_FLOATS, st.integers(), st.booleans()),
+    st.one_of(st.integers(0, 8), st.floats(), st.booleans()),
+    st.one_of(st.booleans(), st.integers(0, 1)),
+    st.one_of(
+        st.just(POLE), st.none(), st.builds(complex, _ODD_FLOATS, _ODD_FLOATS),
+        st.integers(),
+    ),
+    st.one_of(_TEXTS, st.none(), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_TYPED_REPORTS, _ANY_REPORTS))
+def test_to_json_matches_json_dumps_on_hand_built_reports(rep):
+    assert rep.to_json() == _dumps(rep)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=math.log10(3e7)))
 def test_to_json_matches_json_dumps_over_the_table_domain(log_gap):
