@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import chain
 
 from ._backend import CurveParams
 from .evaluate import POLE, NodeValue, mirror_block
@@ -21,8 +22,10 @@ from .evaluate import POLE, NodeValue, mirror_block
 _SQRT2 = math.sqrt(2.0)
 
 # gamma4 formulas contain 1/sqrt(beta-1); below this floor they still compute
-# but lose digits, so catalog construction warns (construction never rejects
-# any beta > 1).
+# but lose digits, so catalog construction warns. Once delta rounds to 1 (some
+# beta from about 4.5e7, every beta from about 6.7e7; 1e7 builds) it raises
+# ValueError("ascending_sequence needs a finite x > 1, got 1.0"); ROADMAP
+# item 15, the table from beta alone, removes that limit.
 BETA_FLOOR = 1.0 + 1e-6
 
 _cbrt = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
@@ -167,6 +170,9 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     )
 
 
+_MS, _NS = zip(*((m, n) for n in range(9) for m in range(9)))  # row by row
+
+
 class ClosedFormTable(namedtuple("ClosedFormTable", "beta values symbols")):
     """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
@@ -184,9 +190,8 @@ class ClosedFormTable(namedtuple("ClosedFormTable", "beta values symbols")):
 
     def nodes(self) -> Iterator[tuple[int, int, str, NodeValue]]:
         """(m, n, symbol, value) at every node, row by row."""
-        for n, symbols, values in zip(range(9), self.symbols, self.values):
-            for m, symbol, value in zip(range(9), symbols, values):
-                yield m, n, symbol, value
+        flat = chain.from_iterable
+        return zip(_MS, _NS, flat(self.symbols), flat(self.values))
 
 
 # the quarter block m, n <= 4, one row a line; every complex name X is

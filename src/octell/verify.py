@@ -28,7 +28,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from ._backend import CurveParams, Lattice, compute_lattice, derive_params
@@ -292,26 +292,26 @@ def _halve_branch(v: complex, m: int, n: int, params: CurveParams):
 
 
 def half_argument_oracle(params: CurveParams, lat: Lattice):
-    """9x9 tuple grid (indexed [m][n]) of node values derived without the
-    evaluator.
+    """9x9 tuple grid of node values derived without the evaluator, in the
+    table's layout: rows n, so [n][m] is node (m, n).
 
     None marks a node whose branch selection was inconclusive. lat is unused:
     the oracle needs only the curve.
     """
     beta = params.beta
-    B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4
+    B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4, rows n
     # exact half-period seeds
-    B[0][0], B[4][0], B[0][4], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
+    B[0][0], B[0][4], B[4][0], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)
     # each level halves the nodes new on its step, from the mirrored grid of
     # the level before: the quarter-period nodes from the seeds, then the odd
     # nodes from the even block
     for step in (2, 1):
         grid = mirror_block(B)
-        for m in range(0, 5, step):
-            for n in range(0, 5, step):
+        for n in range(0, 5, step):
+            for m in range(0, 5, step):
                 if m % (2 * step) or n % (2 * step):
-                    src = grid[2 * m][2 * n]
-                    B[m][n] = None if src is None else _halve_branch(src, m, n, params)
+                    src = grid[2 * n][2 * m]
+                    B[n][m] = None if src is None else _halve_branch(src, m, n, params)
     return mirror_block(B)
 
 
@@ -369,16 +369,9 @@ def verify_claims(
     )
 
     # (d) +-1 occur exactly at the order-4 nodes
-    plus = set()
-    minus = set()
-    for n, row in enumerate(table.values):
-        for m, val in enumerate(row):
-            if val is POLE:
-                continue
-            if abs(val - 1.0) <= 1e-9:
-                plus.add((m, n))
-            if abs(val + 1.0) <= 1e-9:
-                minus.add((m, n))
+    finite = [(m, n, v) for m, n, _symbol, v in table.nodes() if v is not POLE]
+    plus = {(m, n) for m, n, v in finite if abs(v - 1.0) <= 1e-9}
+    minus = {(m, n) for m, n, v in finite if abs(v + 1.0) <= 1e-9}
     ok_d = plus == {(2, 0), (6, 0), (2, 8), (6, 8)} and minus == {(2, 4), (6, 4)}
     results.append(
         PropertyResult(
@@ -409,9 +402,9 @@ _LINE_T = [(j + 0.3) * 2.0 for j in range(17)]
 
 
 def _report_points(lat: Lattice) -> list:
-    """The 183 points of a report's one kernel call: the 81 nodes (m outer,
-    n inner), then red lines k = 2, 4, 6 and then blue lines k = 2, 4, 6 at
-    17 samples each.
+    """The 183 points of a report's one kernel call: the 81 nodes row by row,
+    as `ClosedFormTable.nodes` lists them, then red lines k = 2, 4, 6 and
+    then blue lines k = 2, 4, 6 at 17 samples each.
 
     Each mirror circle's inversion maps line k of its family onto line
     8 - k at the same parameter. Red line k is Im z = k*omega2/8, and
@@ -423,11 +416,11 @@ def _report_points(lat: Lattice) -> list:
     because R is even and 2*omega1-periodic.
     """
     w1, w2i = lat.omega1, lat.omega2_im
-    ys = [n * w2i / 4.0 for n in range(9)]
+    xs = [m * w1 / 4.0 for m in range(9)]
     red_xs = [t * w1 / 17.0 for t in _LINE_T]
     blue_ys = [t * w2i / 17.0 for t in _LINE_T]
     return (
-        [complex(x, y) for x in [m * w1 / 4.0 for m in range(9)] for y in ys]
+        [complex(x, y) for y in [n * w2i / 4.0 for n in range(9)] for x in xs]
         + [complex(x, y) for y in [k * w2i / 8.0 for k in (2, 4, 6)] for x in red_xs]
         + [complex(x, y) for x in [k * w1 / 8.0 for k in (2, 4, 6)] for y in blue_ys]
     )
@@ -452,46 +445,41 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
     lat = compute_lattice(params)
     table = grid_table(params)
     vals = essential_R_values(_report_points(lat), lat)
+    rows = [vals[k:k + 9] for k in range(0, 81, 9)]
     red, blue = vals[81:132], vals[132:]
     oracle = half_argument_oracle(params, lat)
 
-    # one pass over the nodes, a table row at a time: closed forms vs the
-    # evaluator against tol, the worst pairwise error of the nodes where all
-    # three sources are finite, and each evaluator value conjugated into its
-    # mirror node (m, 8 - n) for the conjugate check
+    # one pass over the nodes, row by row in the layout the table, the kernel
+    # points and the oracle share: closed forms vs the evaluator against tol,
+    # and the worst pairwise error of the nodes where all three sources are
+    # finite
     per_node = []
-    mirrored = [None] * 81
     triple = 0.0
     bad = []
     inconclusive = []
-    for n, symbols, closed_row, oracle_row in zip(
-        range(9), table.symbols, table.values, zip(*oracle)
+    for (m, n, symbol, closed), num, orc in zip(
+        table.nodes(), vals, chain.from_iterable(oracle)
     ):
-        for m, symbol, closed, num, orc in zip(
-            range(9), symbols, closed_row, vals[n:81:9], oracle_row
-        ):
-            # the conjugate's signed zeros leave every |a - b| unchanged
-            mirrored[9 * m + 8 - n] = num if num is POLE else num.conjugate()
-            if closed is POLE or num is POLE:
-                abs_err = rel_err = 0.0 if closed is num else math.inf
-            else:
-                abs_err = d = abs(closed - num)
-                s = abs(closed)
-                rel_err = d / s if s > 1.0 else d
-            per_node.append(NodeCheck(m, n, symbol, closed, num, abs_err, rel_err))
-            if orc is None:
-                inconclusive.append((m, n))
-            elif not (closed is POLE) == (num is POLE) == (orc is POLE):
-                bad.append((m, n))
-            elif orc is not POLE:  # all three finite, and s = |closed|
-                d = abs(closed - orc)
-                err_closed = d / s if s > 1.0 else d
-                d = abs(num - orc)
-                s_num = abs(num)
-                err_num = d / s_num if s_num > 1.0 else d
-                for err in (rel_err, err_closed, err_num):
-                    if err > triple:
-                        triple = err
+        if closed is POLE or num is POLE:
+            abs_err = rel_err = 0.0 if closed is num else math.inf
+        else:
+            abs_err = d = abs(closed - num)
+            s = abs(closed)
+            rel_err = d / s if s > 1.0 else d
+        per_node.append(NodeCheck(m, n, symbol, closed, num, abs_err, rel_err))
+        if orc is None:
+            inconclusive.append((m, n))
+        elif not (closed is POLE) == (num is POLE) == (orc is POLE):
+            bad.append((m, n))
+        elif orc is not POLE:  # all three finite, and s = |closed|
+            d = abs(closed - orc)
+            err_closed = d / s if s > 1.0 else d
+            d = abs(num - orc)
+            s_num = abs(num)
+            err_num = d / s_num if s_num > 1.0 else d
+            for err in (rel_err, err_closed, err_num):
+                if err > triple:
+                    triple = err
     note = ""
     if inconclusive:
         note += f"; inconclusive oracle nodes {inconclusive}"
@@ -510,18 +498,20 @@ def verify_grid(beta: float, tol: float = 1e-9) -> VerificationReport:
             "oracle_matches_closed_on_axes",
             AXES_TOL,
             "max scaled err",
-            _worst(
-                [*table.values[0], *[row[0] for row in table.values]],
-                [*[col[0] for col in oracle], *oracle[0]],
-            ),
+            # row 0 and column 0 of each grid
+            _worst(*([*g[0], *[row[0] for row in g]] for g in (table.values, oracle))),
         ),
-        # Schwarz reflection between mirror rows: node (m, n) against the
-        # conjugate of node (m, 8 - n)
+        # Schwarz reflection between mirror rows: row n against the conjugate
+        # of row 8 - n (the conjugate's signed zeros leave every |a - b|
+        # unchanged)
         _worst_check(
             "conjugate_node_consistency",
             CONJ_TOL,
             "max scaled err",
-            _worst(vals[:81], mirrored),
+            _worst(vals[:81], [
+                v if v is POLE else v.conjugate()
+                for row in reversed(rows) for v in row
+            ]),
         ),
         _inversion_check(
             "red_circle_inverts_red_lines", red, invert_omega2(red, params)

@@ -112,7 +112,7 @@ def test_criterion_3_triple_source_agreement(announce):
         table = grid_table(params)
         oracle = half_argument_oracle(params, lat)
         for m, n, _sym, closed in table.nodes():
-            third = oracle[m][n]
+            third = oracle[n][m]
             assert third is not None, f"oracle inconclusive at ({m},{n}) beta={beta}"
             numeric = essential_R(node_z(lat, m, n), lat, params)
             if is_pole(closed):

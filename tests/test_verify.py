@@ -107,7 +107,7 @@ def _refuse_node_1_1(monkeypatch):
     real_oracle = octell.verify.half_argument_oracle
 
     def one_refused(params, lat):
-        T = [list(col) for col in real_oracle(params, lat)]
+        T = [list(row) for row in real_oracle(params, lat)]
         T[1][1] = None
         return T
 
@@ -387,7 +387,7 @@ def test_oracle_matches_closed_forms(beta):
     table = grid_table(params)
     oracle = half_argument_oracle(params, lat)
     for m, n, _sym, closed in table.nodes():
-        got = oracle[m][n]
+        got = oracle[n][m]
         assert got is not None, f"inconclusive at ({m},{n})"
         if is_pole(closed):
             assert is_pole(got)
@@ -397,11 +397,25 @@ def test_oracle_matches_closed_forms(beta):
 
 def test_oracle_seeds_are_exact(p3, lat3):
     oracle = half_argument_oracle(p3, lat3)
-    assert oracle[4][0] == 0j
-    assert oracle[0][4] == complex(-3.0)
+    assert oracle[0][4] == 0j
+    assert oracle[4][0] == complex(-3.0)
     assert oracle[4][4] == complex(-1.0 / 3.0)
     for m, n in ((0, 0), (8, 0), (0, 8), (8, 8)):
-        assert is_pole(oracle[m][n])
+        assert is_pole(oracle[n][m])
+
+
+def test_oracle_uses_the_table_layout(p3, lat3):
+    # rows n, columns m, as the closed-form table: [0][4] is node (4, 0) =
+    # omega1 and [4][0] is node (0, 4) = omega2
+    oracle = half_argument_oracle(p3, lat3)
+    assert oracle[0][4] == 0j
+    assert oracle[4][0] == complex(-3.0)
+    table = grid_table(p3)
+    for m, n, _sym, _closed in table.nodes():
+        got, want = oracle[n][m], table.values[n][m]
+        assert got is not None and is_pole(got) == is_pole(want), (m, n)
+        if not is_pole(want):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (m, n)
 
 
 def test_halve_branch_selection(p3):
@@ -440,7 +454,7 @@ def test_oracle_never_calls_the_evaluator(monkeypatch, p3, lat3):
     monkeypatch.setattr(octell.verify, "essential_R", forbidden)
     monkeypatch.setattr(octell.verify, "essential_R_values", forbidden)
     oracle = half_argument_oracle(p3, lat3)
-    assert all(v is not None for col in oracle for v in col)
+    assert all(v is not None for row in oracle for v in row)
 
 
 @pytest.mark.parametrize("beta", [1.0 + 1e-6, 1.0001, 3.0, 1e6])
@@ -449,13 +463,13 @@ def test_oracle_mirrors_exactly(beta):
     oracle = half_argument_oracle(params, compute_lattice(params))
     for m in range(9):
         for n in range(9):
-            v, mirrored = oracle[m][n], oracle[8 - m][n]
+            v, mirrored = oracle[n][m], oracle[n][8 - m]
             if is_pole(v):
                 assert is_pole(mirrored)
             else:
                 assert mirrored == v.conjugate()
-                assert oracle[m][8 - n] == v.conjugate()
-                assert oracle[8 - m][8 - n] == v
+                assert oracle[8 - n][m] == v.conjugate()
+                assert oracle[8 - n][8 - m] == v
 
 
 def test_table_swapped_across_unit_circle_fails(monkeypatch):
@@ -481,7 +495,7 @@ def test_oracle_conclusive_nodes_match_evaluator(beta):
     oracle = half_argument_oracle(params, lat)
     for m in range(9):
         for n in range(9):
-            got = oracle[m][n]
+            got = oracle[n][m]
             assert got is not None, (m, n)
             want = essential_R(node_z(lat, m, n), lat, params)
             assert is_pole(got) == is_pole(want), (m, n)
@@ -509,13 +523,13 @@ def test_oracle_matches_mpmath_over_the_domain():
     for beta in betas + [1.0 + 1e-6, 1e12]:
         params = derive_params(beta)
         oracle = half_argument_oracle(params, compute_lattice(params))
-        assert all(v is not None for col in oracle for v in col), beta
+        assert all(v is not None for row in oracle for v in row), beta
         for m in range(5):
             for n in range(5):
                 if m % 4 == 0 and n % 4 == 0:
                     continue  # the exact seeds
                 want = mpmath_node_R(beta, m, n)
-                err = abs(oracle[m][n] - want) / max(1.0, abs(want))
+                err = abs(oracle[n][m] - want) / max(1.0, abs(want))
                 assert err <= 1e-12, (beta, m, n, err)
 
 
@@ -616,7 +630,7 @@ def test_tight_beta_resolves_every_node():
     oracle = half_argument_oracle(params, compute_lattice(params))
     for m in range(9):
         for n in range(9):
-            got, want = oracle[m][n], table.value(m, n)
+            got, want = oracle[n][m], table.value(m, n)
             assert got is not None, (m, n)
             assert is_pole(got) == is_pole(want)
             if not is_pole(want):
@@ -743,7 +757,7 @@ def _ref_verify_grid(beta, tol=1e-9):
     per_node, triples, bad, inconclusive = [], [], [], []
     for n in range(9):
         for m in range(9):
-            closed, num, orc = table.value(m, n), numeric[m][n], oracle[m][n]
+            closed, num, orc = table.value(m, n), numeric[m][n], oracle[n][m]
             if (closed is POLE) != (num is POLE):
                 abs_err = rel_err = math.inf
             elif closed is POLE:
@@ -773,7 +787,7 @@ def _ref_verify_grid(beta, tol=1e-9):
         ),
         _ref_worst_check(
             "oracle_matches_closed_on_axes", V.AXES_TOL, "max scaled err",
-            ((table.value(m, n), oracle[m][n]) for m, n in axes),
+            ((table.value(m, n), oracle[n][m]) for m, n in axes),
         ),
         _ref_worst_check(
             "conjugate_node_consistency", V.CONJ_TOL, "max scaled err",
