@@ -9,8 +9,9 @@ into the constants of the kernel. `compute_lattice` and `evaluate` look
 profilers one place to wrap them.
 
 One loop, `wp_values(points, theta, prime=False)`, evaluates R. It reduces
-each point into the cell, snaps lattice points and half-periods through one
-`_snap` rule, sums the theta series and restores signs; its per-lattice
+each point into the cell, snaps a point within eps of a lattice point or
+half-period by one distance test to the corner its guard box finds, sums the
+theta series and restores signs; its per-lattice
 constants are built once per lattice and held in `Lattice.theta`, so a call
 at one point pays for that point alone. R alone serves `essential_R` (one
 point), `essential_R_values` (the figure's quarter lines, and one call per
@@ -67,7 +68,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import cached_property
-from math import cos, exp, expm1, nan, remainder, sin
+from math import cos, exp, expm1, hypot, nan, remainder, sin
 
 BACKEND = "pure"
 
@@ -260,25 +261,6 @@ def compute_lattice(params) -> Lattice:
     return Lattice(w1, w2i, beta)
 
 
-def _snap(x: float, y: float, gx: float, gy: float, eps: float, beta: float):
-    """R at the lattice point or half-period within eps of the reduced point
-    x + iy, exactly: POLE, 0, -beta or -1/beta; None when there is none.
-
-    gx, gy are the gaps w1 - |x|, w2i - |y| to the cell edges. A snap needs
-    (|x| <= eps or gx <= eps) and (|y| <= eps or gy <= eps), which the kernel
-    tests first: hypot(a, b) >= |a|, |b|.
-    """
-    if math.hypot(x, y) <= eps:
-        return POLE
-    if math.hypot(gx, y) <= eps:
-        return 0j
-    if math.hypot(x, gy) <= eps:
-        return complex(-beta)
-    if math.hypot(gx, gy) <= eps:
-        return complex(-1.0 / beta)
-    return None
-
-
 def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     """[R(z) for z in points] with R = wp - e1 on the lattice of `theta`, in
     one loop; with prime, [(R(z), R'(z)) for z in points].
@@ -315,9 +297,17 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
         ax, ay = abs(x), abs(y)
         gx = w1 - ax   # gap to the vertical cell edge
         gy = w2i - ay
+        # R at the lattice point or half-period within eps of x + iy, exactly:
+        # POLE, 0, -beta or -1/beta. A snap needs the point in the guard box,
+        # since hypot(a, b) >= |a|, |b|. In the box only one of |x|, gx can
+        # be <= eps, and only one of |y|, gy: both would need a half-period
+        # <= 2 eps, 4e-12 of the longer one, and `Lattice.theta` keeps
+        # short/long >= pi/708. So the box finds the one corner that can
+        # apply, and one hypot to it decides
         if (ax <= eps or gx <= eps) and (ay <= eps or gy <= eps):
-            v = _snap(x, y, gx, gy, eps, beta)
-            if v is not None:
+            at_w1, at_w2 = gx <= eps, gy <= eps
+            if hypot(gx if at_w1 else ax, gy if at_w2 else ay) <= eps:
+                v = (POLE, 0j, complex(-beta), complex(-1.0 / beta))[at_w1 + 2 * at_w2]
                 out.append((v, POLE if v is POLE else 0j) if prime else v)
                 continue
 

@@ -77,13 +77,23 @@ class RadicalCatalog(
 
 def _warn_floor(beta: float) -> None:
     if beta < BETA_FLOOR:
-        import warnings   # here, not at the top: only this branch uses it
+        import sys   # here, not at the top: only this branch uses them
+        import warnings
 
+        # attributed to the first caller outside the package, whichever entry
+        # point (gamma4, build_catalog, grid_table, verify_grid, the CLI) it
+        # called; level 2 is this function's caller
+        level, frame = 2, sys._getframe(1)
+        while frame is not None:
+            name = frame.f_globals.get("__name__", "")
+            if name != "octell" and not name.startswith("octell."):
+                break
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"beta = {beta} is within 1e-6 of 1; 1/sqrt(beta-1) radicals "
             "lose significant digits",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -173,6 +183,12 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
 _MS, _NS = zip(*((m, n) for n in range(9) for m in range(9)))  # row by row
 
 
+def _check_node(m: int, n: int) -> None:
+    # an IndexError, as for (9, 0), where a negative index would wrap round
+    if not (0 <= m <= 8 and 0 <= n <= 8):
+        raise IndexError(f"node ({m}, {n}) is outside the grid 0..8 x 0..8")
+
+
 class ClosedFormTable(namedtuple("ClosedFormTable", "beta values symbols")):
     """81 grid entries; index (m, n) = column, row; POLE at the four corners.
 
@@ -183,9 +199,11 @@ class ClosedFormTable(namedtuple("ClosedFormTable", "beta values symbols")):
     __slots__ = ()
 
     def value(self, m: int, n: int) -> NodeValue:
+        _check_node(m, n)
         return self.values[n][m]
 
     def symbol(self, m: int, n: int) -> str:
+        _check_node(m, n)
         return self.symbols[n][m]
 
     def nodes(self) -> Iterator[tuple[int, int, str, NodeValue]]:

@@ -1,8 +1,11 @@
 """Cross-checks: closed forms vs the theta-quotient evaluator vs a
 half-argument (bisection) oracle, plus the geometric claims, in one
-machine-readable report. `verify_grid` builds each input once, evaluates R
-at its nodes and inversion lines in one kernel call, and every check reads
-them. Node (m, n) is z = (m*omega1 + n*omega2)/4, so row n runs along +omega2
+machine-readable report. `verify_grid` builds each input once and evaluates
+R at its 81 nodes and its 6 inversion lines in one kernel call of 183
+points, which the node and property checks read. The geometric claims
+evaluate their own points: R and R' at the four half-rectangle centers, and
+node (2, 2) once more (188 evaluations, 183 distinct points). Node (m, n)
+is z = (m*omega1 + n*omega2)/4, so row n runs along +omega2
 (`orientation_flipped` is always false). Every comparison of one value of R
 with another takes the worst scaled error |a - b| / max(1, |a|) over its
 pairs against a limit.

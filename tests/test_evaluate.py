@@ -337,16 +337,26 @@ def test_snaps_are_exact_far_from_the_origin(beta):
 @pytest.mark.parametrize("beta, rotated", [(1.2, False), (3.0, True)])
 def test_points_near_a_node_but_off_its_snap_disc_are_evaluated(beta, rotated):
     # offsets (+-0.8 eps, +-0.8 eps) pass the kernel's guard box, |dx|, |dy|
-    # <= eps, but lie 1.13 eps from the node, outside the snap disc
+    # <= eps, but lie 1.13 eps from the node, outside the snap disc; offsets
+    # (+-0.6 eps, +-0.6 eps), 0.85 eps from the node, and +-0.99 eps along
+    # either axis lie inside it and snap to the node's exact R
     p = derive_params(beta)
     lat = compute_lattice(p)
     assert lat.theta.rotated is rotated
     eps = 2e-12 * max(lat.omega1, lat.omega2_im)
-    d = 0.8 * eps
     nodes = (0j, complex(lat.omega1), complex(0.0, lat.omega2_im),
              complex(lat.omega1, lat.omega2_im))
-    pts = [c + complex(sx * d, sy * d) for c in nodes for sx in (1, -1) for sy in (1, -1)]
     snapped = (POLE, 0j, complex(-beta), complex(-1.0 / beta))
+    signs = [(sx, sy) for sx in (1, -1) for sy in (1, -1)]
+    inside = [(0.6 * sx, 0.6 * sy) for sx, sy in signs]
+    inside += [(0.99, 0.0), (-0.99, 0.0), (0.0, 0.99), (0.0, -0.99)]
+    for c, want in zip(nodes, snapped):
+        pts = [c + complex(dx * eps, dy * eps) for dx, dy in inside]
+        dwant = POLE if want is POLE else 0j
+        assert _backend.wp_values(pts, lat.theta, prime=True) == [(want, dwant)] * len(pts)
+        assert _backend.wp_values(pts, lat.theta) == [want] * len(pts)
+    d = 0.8 * eps
+    pts = [c + complex(sx * d, sy * d) for c in nodes for sx, sy in signs]
     got = _backend.wp_values(pts, lat.theta, prime=True)
     assert _backend.wp_values(pts, lat.theta) == [r for r, _ in got]
     worst = 0.0

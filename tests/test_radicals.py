@@ -15,6 +15,7 @@ from octell import (
     grid_table,
     is_pole,
     tribonacci_b,
+    verify_grid,
 )
 
 betas = st.floats(min_value=1.001, max_value=50.0)
@@ -118,10 +119,20 @@ def test_line_products_positive(beta):
 
 
 def test_warns_close_to_one():
-    # one warning per catalog, not one more for each order-8 closed form
-    with pytest.warns(RuntimeWarning) as record:
-        build_catalog(derive_params(1.0 + 1e-8))
-    assert len(record) == 1
+    # one warning per catalog, not one more for each order-8 closed form,
+    # attributed to the caller outside octell (this file) through every entry
+    # point, not to a line inside the package
+    near = 1.0 + 1e-8
+    entry_points = {
+        "build_catalog": lambda: build_catalog(derive_params(near)),
+        "gamma4": lambda: gamma4(derive_params(near), 41),
+        "grid_table": lambda: grid_table(derive_params(near)),
+        "verify_grid": lambda: verify_grid(near),
+    }
+    for name, call in entry_points.items():
+        with pytest.warns(RuntimeWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__], name
 
 
 def test_no_warning_at_moderate_beta():

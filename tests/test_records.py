@@ -117,6 +117,12 @@ def test_closed_form_table_access():
         assert val is table.value(m, n) is table.values[n][m]
     assert table.symbol(2, 1) == "-beta*conj(gamma_hi)"
     assert table.value(2, 4) == -1.0
+    # an index outside 0..8 raises rather than wrap round: value(-1, 0) would
+    # be node (8, 0), POLE, where R(-omega1/4) is node (7, 0)'s value
+    for m, n in ((-1, 0), (0, -1), (9, 0), (0, 9)):
+        for access in (table.value, table.symbol):
+            with pytest.raises(IndexError):
+                access(m, n)
     assert table == grid_table(derive_params(3.0))
     assert table != grid_table(derive_params(2.0))
 
