@@ -4,10 +4,14 @@ Every value R takes at an eighth-period node (m*omega1 + n*omega2)/4,
 m, n in 0..8, has a nested-radical closed form built from a small catalog of
 constants. The four "order-8" values gamma41..gamma44 carry a sgn(beta - b)
 factor, b the tribonacci constant, that keeps them continuous across the
-double root of their inner radicand. Each quarter-block value is computed
-from its printed symbol, an expression over the catalog's constants, compiled
-once at import. The 81 symbols are the same for every beta, built once at
-import with `conj(X)` and `X` swapped in the mirrored ones.
+double root of their inner radicand. The catalog is formed from the exact
+value of the float beta in stdlib `decimal`, at enough digits to outlast
+every cancellation of its radicals (at either end of beta and at the double
+root), and each of its parts is rounded once to a float. Each quarter-block
+value is computed in floats from its printed symbol, an expression over the
+catalog's parts, compiled once at import. The 81 symbols are the same for
+every beta, built once at import with `conj(X)` and `X` swapped in the
+mirrored ones.
 """
 from __future__ import annotations
 
@@ -18,15 +22,6 @@ from itertools import chain
 
 from ._backend import CurveParams
 from .evaluate import POLE, NodeValue, mirror_block
-
-_SQRT2 = math.sqrt(2.0)
-
-# gamma4 formulas contain 1/sqrt(beta-1); below this floor they still compute
-# but lose digits, so catalog construction warns. Once delta rounds to 1 (some
-# beta from about 4.5e7, every beta from about 6.7e7; 1e7 builds) it raises
-# ValueError("ascending_sequence needs a finite x > 1, got 1.0"); ROADMAP
-# item 15, the table from beta alone, removes that limit.
-BETA_FLOOR = 1.0 + 1e-6
 
 _cbrt = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
 
@@ -40,14 +35,31 @@ def tribonacci_b() -> float:
 _B = tribonacci_b()
 
 
+def _digits(x: float) -> int:
+    """Working precision for the radicals of x > 1: 36 digits cover the
+    square root next to the double root at b and the cancellations of order
+    x - 1 >= 2.2e-16 near 1, and 2*log10(x) those of order 1/x^2 at large x."""
+    return 36 + int(2.0 * math.log10(x))
+
+
+def _ascending(x):
+    """The four values of `ascending_sequence` for a Decimal x, in the
+    current decimal context."""
+    lo = (1 + 1 / x).sqrt()
+    hi = (x + 1).sqrt()
+    return (1 - hi, 1 - lo, 1 + lo, 1 + hi)
+
+
 def ascending_sequence(x: float) -> tuple[float, float, float, float]:
-    """(1-sqrt(x+1), 1-sqrt(1+1/x), 1+sqrt(1+1/x), 1+sqrt(x+1)), ascending for x > 1."""
+    """(1-sqrt(x+1), 1-sqrt(1+1/x), 1+sqrt(1+1/x), 1+sqrt(x+1)), ascending for
+    x > 1, each formed from the exact x and rounded once to a float."""
     x = float(x)
     if not math.isfinite(x) or not x > 1.0:
         raise ValueError(f"ascending_sequence needs a finite x > 1, got {x!r}")
-    lo = math.sqrt(1.0 + 1.0 / x)
-    hi = math.sqrt(x + 1.0)
-    return (1.0 - hi, 1.0 - lo, 1.0 + lo, 1.0 + hi)
+    from decimal import Context, Decimal, localcontext
+
+    with localcontext(Context(prec=_digits(x))):
+        return tuple(map(float, _ascending(Decimal(x))))
 
 
 class RadicalCatalog(
@@ -75,28 +87,6 @@ class RadicalCatalog(
     __slots__ = ()
 
 
-def _warn_floor(beta: float) -> None:
-    if beta < BETA_FLOOR:
-        import sys   # here, not at the top: only this branch uses them
-        import warnings
-
-        # attributed to the first caller outside the package, whichever entry
-        # point (gamma4, build_catalog, grid_table, verify_grid, the CLI) it
-        # called; level 2 is this function's caller
-        level, frame = 2, sys._getframe(1)
-        while frame is not None:
-            name = frame.f_globals.get("__name__", "")
-            if name != "octell" and not name.startswith("octell."):
-                break
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"beta = {beta} is within 1e-6 of 1; 1/sqrt(beta-1) radicals "
-            "lose significant digits",
-            RuntimeWarning,
-            stacklevel=level,
-        )
-
-
 def branch_radicand(beta: float) -> float:
     """Inner radicand of gamma43/gamma44: beta/sqrt(beta-1) - 1/sqrt(beta+1) - sqrt(2).
 
@@ -107,30 +97,7 @@ def branch_radicand(beta: float) -> float:
     beta = float(beta)
     if not math.isfinite(beta) or not beta > 1.0:
         raise ValueError(f"branch_radicand needs a finite beta > 1, got {beta!r}")
-    return beta / math.sqrt(beta - 1.0) - 1.0 / math.sqrt(beta + 1.0) - _SQRT2
-
-
-def _gamma4_all(beta: float) -> tuple[complex, complex, complex, complex]:
-    """(gamma41, gamma42, gamma43, gamma44) from their shared radicals."""
-    sb1 = math.sqrt(beta + 1.0)
-    core = beta / math.sqrt(beta - 1.0)
-    inv_sb1 = 1.0 / sb1
-    f_neg = max(branch_radicand(beta), 0.0)   # double root at beta = b
-    x = 1.0 - 1.0 / beta
-    y = math.sqrt(1.0 - 1.0 / (beta * beta))
-    half = math.sqrt((beta + 1.0) / 2.0)
-    q_pos = sb1 * math.sqrt(sb1 + _SQRT2) / beta
-    q_neg = sb1 * math.sqrt(sb1 - _SQRT2) / beta
-    a_pos = math.sqrt(core - inv_sb1 + _SQRT2)
-    b_pos = math.sqrt(core + inv_sb1 - _SQRT2)
-    a_neg = (1.0 if beta >= _B else -1.0) * math.sqrt(f_neg)
-    b_neg = math.sqrt(core + inv_sb1 + _SQRT2)
-    return (
-        (1.0 - half) * complex(x + q_pos * a_pos, -y - q_pos * b_pos) - 1.0,
-        (1.0 - half) * complex(x - q_pos * a_pos, y - q_pos * b_pos) - 1.0,
-        (half + 1.0) * complex(x - q_neg * a_neg, -y + q_neg * b_neg) - 1.0,
-        (half + 1.0) * complex(x + q_neg * a_neg, y + q_neg * b_neg) - 1.0,
-    )
+    return beta / math.sqrt(beta - 1.0) - 1.0 / math.sqrt(beta + 1.0) - math.sqrt(2.0)
 
 
 def gamma4(params: CurveParams, which: int) -> complex:
@@ -141,43 +108,64 @@ def gamma4(params: CurveParams, which: int) -> complex:
         raise ValueError(
             f"which must be one of 41, 42, 43, 44 (got {which!r})"
         ) from None
-    _warn_floor(params.beta)
-    return _gamma4_all(params.beta)[i]
+    c = build_catalog(params)
+    return (c.gamma41, c.gamma42, c.gamma43, c.gamma44)[i]
+
+
+def _complex(re, im) -> complex:
+    return complex(float(re), float(im))
 
 
 def build_catalog(params: CurveParams) -> RadicalCatalog:
-    beta = params.beta
-    delta = params.delta
-    _warn_floor(beta)
-    d0, d1, d2, d3 = delta_seq = ascending_sequence(delta)
-    sp = math.sqrt(1.0 + 1.0 / beta)
-    sm = math.sqrt(1.0 - 1.0 / beta)
-    dpm_off = (sp - sm) / _SQRT2
-    delta_pm = (1.0 - dpm_off, 1.0 + dpm_off)
-    g0_im = math.sqrt(beta - 1.0)
-    tilt = complex(1.0, math.sqrt(delta - 1.0))  # 1 + i*sqrt(delta-1)
-    g41, g42, g43, g44 = _gamma4_all(beta)
-    return RadicalCatalog(
-        gamma_minus_r=1.0 - 1.0 / delta,
-        gamma_plus_r=1.0 + 1.0 / delta,
-        gamma=complex(1.0, -beta / delta),
-        beta_seq=ascending_sequence(beta),
-        delta_seq=delta_seq,
-        gamma02=1.0 + d0 * d2 / delta,
-        gamma13=1.0 + d1 * d3 / delta,
-        gamma01=1.0 + d0 * d1 / delta,
-        gamma23=1.0 + d2 * d3 / delta,
-        beta_pm=(1.0 - sm, 1.0 + sm),
-        delta_pm=delta_pm,
-        gamma0=complex(1.0, -g0_im),
-        gamma_lo=1.0 - delta_pm[0] * tilt / delta,
-        gamma_hi=1.0 - delta_pm[1] * tilt / delta,
-        gamma41=g41,
-        gamma42=g42,
-        gamma43=g43,
-        gamma44=g44,
-        b_const=_B,
-    )
+    """The catalog at params.beta: every part formed from the exact beta at
+    `_digits(beta)` digits, then rounded once to a float."""
+    from decimal import Context, Decimal, localcontext
+
+    sign = 1 if params.beta >= _B else -1   # sgn(beta - b) of gamma43, gamma44
+    with localcontext(Context(prec=_digits(params.beta))):
+        beta = Decimal(params.beta)
+        r2 = Decimal(2).sqrt()
+        sb1, sbm1 = (beta + 1).sqrt(), (beta - 1).sqrt()
+        inv_delta = sb1 * sbm1 / beta   # sqrt(1 - 1/beta^2)
+        delta = 1 / inv_delta
+        d0, d1, d2, d3 = delta_seq = _ascending(delta)
+        sm = (1 - 1 / beta).sqrt()
+        dpm_off = ((1 + 1 / beta).sqrt() - sm) / r2
+        delta_pm = (1 - dpm_off, 1 + dpm_off)
+        tilt = (delta - 1).sqrt()   # of the factor 1 + i*sqrt(delta - 1)
+        e_lo, e_hi = (p * inv_delta for p in delta_pm)   # delta_pm/delta
+        # the order-8 forms, from their shared radicals
+        core, inv_sb1 = beta / sbm1, 1 / sb1
+        x, half = 1 - 1 / beta, sb1 / r2
+        q_pos = sb1 * (sb1 + r2).sqrt() / beta
+        q_neg = sb1 * (sb1 - r2).sqrt() / beta
+        a_pos = q_pos * (core - inv_sb1 + r2).sqrt()
+        b_pos = q_pos * (core + inv_sb1 - r2).sqrt()
+        # the branch radicand, with its double root at b
+        a_neg = sign * q_neg * max(core - inv_sb1 - r2, Decimal(0)).sqrt()
+        b_neg = q_neg * (core + inv_sb1 + r2).sqrt()
+        lo, hi = 1 - half, half + 1
+        return RadicalCatalog(
+            gamma_minus_r=float(1 - inv_delta),
+            gamma_plus_r=float(1 + inv_delta),
+            gamma=_complex(1, -sb1 * sbm1),
+            beta_seq=tuple(map(float, _ascending(beta))),
+            delta_seq=tuple(map(float, delta_seq)),
+            gamma02=float(1 + d0 * d2 * inv_delta),
+            gamma13=float(1 + d1 * d3 * inv_delta),
+            gamma01=float(1 + d0 * d1 * inv_delta),
+            gamma23=float(1 + d2 * d3 * inv_delta),
+            beta_pm=(float(1 - sm), float(1 + sm)),
+            delta_pm=tuple(map(float, delta_pm)),
+            gamma0=_complex(1, -sbm1),
+            gamma_lo=_complex(1 - e_lo, -e_lo * tilt),
+            gamma_hi=_complex(1 - e_hi, -e_hi * tilt),
+            gamma41=_complex(lo * (x + a_pos) - 1, lo * (-inv_delta - b_pos)),
+            gamma42=_complex(lo * (x - a_pos) - 1, lo * (inv_delta - b_pos)),
+            gamma43=_complex(hi * (x - a_neg) - 1, hi * (-inv_delta + b_neg)),
+            gamma44=_complex(hi * (x + a_neg) - 1, hi * (inv_delta + b_neg)),
+            b_const=_B,
+        )
 
 
 _MS, _NS = zip(*((m, n) for n in range(9) for m in range(9)))  # row by row
@@ -246,4 +234,11 @@ def grid_table(params: CurveParams) -> ClosedFormTable:
     """The full table of closed-form values at the eighth-period nodes."""
     c = build_catalog(params)
     block = _quarter_values(params.beta, *c.beta_seq, *c.beta_pm, *c)
+    if not math.isfinite(block[1][0].real):
+        # node (0, 1), -beta*gamma23 ~ -6.83*beta, is the largest node and
+        # the first past the largest double
+        raise ValueError(
+            f"beta = {params.beta!r} is out of range for the closed-form table: "
+            "-beta*gamma23 overflows a double from beta ~ 2.63e307"
+        )
     return ClosedFormTable(params.beta, mirror_block(block), _SYMBOLS)

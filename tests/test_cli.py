@@ -281,13 +281,12 @@ def test_unwritable_out_is_domain_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# gamma02 rounds to exactly 0.0 here, so node (4, 1), -beta*gamma02, is a
-# computed zero; verify fails at this beta (ROADMAP item 15), and its text is
-# checked whatever the verdict
-_GAMMA02_ZERO_BETA = "26457611.54506085"
+# node (4, 1), -beta*gamma02, is about -5.5e-9 here: gamma02, of order
+# 1/beta^2, is the catalog's smallest part
+_SMALL_GAMMA02_BETA = "26457611.54506085"
 
 
-@pytest.mark.parametrize("beta", ["1.2", "3", _GAMMA02_ZERO_BETA])
+@pytest.mark.parametrize("beta", ["1.2", "3", _SMALL_GAMMA02_BETA])
 @pytest.mark.parametrize(
     "argv",
     [["grid"], ["grid", "--format", "csv"], ["verify"]]
@@ -297,42 +296,67 @@ def test_no_negative_zero_printed(capsys, argv, beta):
     # eval prints one value: it runs at points on both axes, where the value
     # is real or imaginary and so has a zero part
     points = ("0.3", "-0.3", "0.3i", "-0.3i", "1", "-1", "i", "-i")
-    codes = (0, 1) if argv == ["verify"] and beta == _GAMMA02_ZERO_BETA else (0,)
     for z in points if argv[0] == "eval" else [None]:
-        assert run(argv + ["--beta", beta] + (["--z", z] if z else [])) in codes
+        assert run(argv + ["--beta", beta] + (["--z", z] if z else [])) == 0
     out = capsys.readouterr().out
     assert out.count("\n") > 80
     assert re.search(r"-0\.0(?!\d)", out) is None
 
 
+@pytest.mark.parametrize("argv", [["grid"], ["grid", "--format", "csv"]])
+def test_no_negative_zero_printed_for_computed_zeros(capsys, argv):
+    # gamma02, gamma_minus_r and gamma13 round to 0.0 at beta = 1e200, so
+    # nodes (4, 1) to (4, 3), -beta times each, are computed zeros; only
+    # grid serves a beta this large
+    assert run(argv + ["--beta", "1e200"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") > 80
+    assert re.search(r"-0\.0(?!\d)", out) is None
+
+
+@pytest.mark.parametrize(
+    "argv", [["grid"], ["grid", "--format", "csv"], ["verify"]]
+)
+def test_table_overflow_is_domain_error(capsys, argv):
+    # past the last beta whose table is finite, grid and verify refuse the
+    # beta instead of printing -inf
+    assert run(argv + ["--beta", "1.7e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "octell: error: beta = 1.7e+308 is out of range for the closed-form "
+        "table: -beta*gamma23 overflows a double from beta ~ 2.63e307\n"
+    )
+
+
 # sha256 of the stdout of `params`, `grid` and `grid --format csv`; these use
-# only arithmetic, sqrt, ** 0.5 and the AGM, and print the same bytes on
-# Python 3.10 to 3.13
+# only arithmetic, sqrt, ** 0.5, the AGM and the correctly rounded operations
+# of `decimal`, and print the same bytes on Python 3.10 to 3.13
 _PINNED = {
     "1.0001": (
         "0e75fcf5a5beb51aa26a2d2eb1ecd36d2fe512ab16f55446073ca0cf09dbd804",
-        "5c53e99c12973e2cadd7ff2a7d440322fc932f783612631c37e28b58780448a4",
-        "45435bbbe89a1037529c5ac2825e885cdc2ace1335166093b369fd5007847d43",
+        "46b599c265fe3744c716b854f51dcaba0c6dfcfe4e9063d381cf354d2f65f58b",
+        "4a73bdbcbbbebdf70cc5b3c95a44f192fac4d3e56e16859d37273a365f209c27",
     ),
     "1.2": (
         "2e128257b92e1884933f3fef98826b17048c669556abf451cfb4fda81e63097e",
-        "420a4bbe920d3b20b6bd2b847afc27f83ccc5524706004c87af862001bdee6db",
-        "0337bfac12846ae899bea9b6ea6254b4be2411928f36f0847ee2c507dde0db0b",
+        "ec85d35449cda77336e21db67245b5ff12adafc9da73e428eb2f5d52fae1b92a",
+        "2a49344f02f616f92780fa33cb8b5133bdc9e8c8e4625d0a129ecf6edd7a559b",
     ),
     None: (
         "66ffdb19d9bc547e077deeb658cd1f03754f32da2a6899b8938d8a8eaf5e934e",
-        "7b9f2c3f299980eb5ab8bed6f99e96265e1c6d80fa9479ce905e6b58548c486e",
-        "911a46d2cff6338faa91feb6a329e7228ce2692d8e4d2f8e7a55000dd1c887f5",
+        "b2b83f87a7fa2e75bd5375f149158f6088e1a43b94ea3c0c1e565bd1b41a34ef",
+        "8a2d04b45dc4def9b529ed245525c0fd80690eae4ee095b05d3bc8be39b0b19c",
     ),
     "3": (
         "d49335b6c0041cb2ce3af9a32b0352a295c380b8a8feed64d77ad0705aaf49be",
-        "d698b0f1c8e42d493dc19a13a62f1ee18008b3b869eb71eb98ef7a11d06bf3c7",
-        "308229471e49a6afdebbb5e37942c31a7363f5165053e53e2f382b34df04ebe2",
+        "d1ec6cd732397107e84cb652ecd683e68efe3d500d742c5c72d3f63e1cc892e5",
+        "0ae8dd4a784c61d317074b8d89aac47055a94c56a047e865dd5c7d2f77184594",
     ),
     "20": (
         "647c05fc5632b01081445369b7d31c15de0652f07fa8a90bbfd4348bf27bda0a",
-        "bcdeb860dfd2c0c91be85627e9a0f4156d51ef49b337e2d732d5e8eab73cd6e9",
-        "25b4f5d986467835b37d3fb6dcc530e8eb3abb5868e44dd4d4a5c62bc89d9712",
+        "deab5f9dc066fc74da3807caccf84026a5450bc131f98ab15d47bb5312ccc765",
+        "f1a919f81d3c9f79bfded0de3a9223e02dc3ce79de90c1229bf3179bc07771b9",
     ),
 }
 
@@ -349,7 +373,7 @@ def test_params_and_grid_bytes_are_pinned(capsys, beta):
 # the sha256 that tests/output_digest.py prints, pinned so that a change
 # that moves verify, eval or figure output alike on every Python version
 # fails here, not only a disagreement between versions
-_OUTPUT_DIGEST = "2954f4f2cb167f7e7ca3482ee30247f725d79735e494c53ed349f47f7b99d972"
+_OUTPUT_DIGEST = "6b4d070b4046dbcb7645c9ad712b114484c79c78cc55174624c8d0996480a8aa"
 
 
 def test_output_digest_is_pinned():

@@ -54,6 +54,7 @@ def test_eval_does_not_load_the_verifier():
     ))
     assert "octell.evaluate" in loaded
     assert "octell.verify" not in loaded
+    assert "decimal" not in loaded   # only the closed-form catalog uses it
 
 
 def test_import_octell_loads_only_the_kernel():

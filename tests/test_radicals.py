@@ -1,9 +1,10 @@
 import cmath
 import math
+import random
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize_scalar
 
 from octell import (
@@ -63,12 +64,15 @@ def test_ascending_sequence_is_ascending(x):
     assert s[0] < s[1] < s[2] < s[3]
 
 
-@given(st.floats(min_value=1.0001, max_value=1e4))
+@given(st.floats(min_value=1.0001, max_value=1e12))
+@example(1e12)
 def test_ascending_sequence_pair_products(x):
-    # outer and inner pairs multiply to -x and -1/x, so all four give +1
+    # outer and inner pairs multiply to -x and -1/x, so all four give +1;
+    # each entry is rounded once from its exact value, so a product is at
+    # most three roundings off, even where 1 - sqrt(1 + 1/x) cancels
     s = ascending_sequence(x)
-    assert s[0] * s[3] == pytest.approx(-x, rel=1e-12)
-    assert s[1] * s[2] == pytest.approx(-1.0 / x, rel=1e-12)
+    assert s[0] * s[3] == pytest.approx(-x, rel=4e-16, abs=0.0)
+    assert s[1] * s[2] == pytest.approx(-1.0 / x, rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.3, -2.0, math.inf])
@@ -118,21 +122,15 @@ def test_line_products_positive(beta):
     assert c.gamma02 > 0.0
 
 
-def test_warns_close_to_one():
-    # one warning per catalog, not one more for each order-8 closed form,
-    # attributed to the caller outside octell (this file) through every entry
-    # point, not to a line inside the package
-    near = 1.0 + 1e-8
-    entry_points = {
-        "build_catalog": lambda: build_catalog(derive_params(near)),
-        "gamma4": lambda: gamma4(derive_params(near), 41),
-        "grid_table": lambda: grid_table(derive_params(near)),
-        "verify_grid": lambda: verify_grid(near),
-    }
-    for name, call in entry_points.items():
-        with pytest.warns(RuntimeWarning) as record:
-            call()
-        assert [w.filename for w in record] == [__file__], name
+def test_no_warning_close_to_one():
+    # the catalog keeps its digits next to 1, so no entry point warns there
+    near = derive_params(math.nextafter(1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_catalog(near)
+        gamma4(near, 41)
+        grid_table(near)
+        verify_grid(near.beta)
 
 
 def test_no_warning_at_moderate_beta():
@@ -357,3 +355,78 @@ def test_table_center_magnitude(p3):
     t = grid_table(p3)
     assert abs(t.value(2, 2)) == pytest.approx(1.0, rel=1e-13)
     assert abs(t.value(6, 2)) == pytest.approx(1.0, rel=1e-13)
+
+
+# --- the table against mpmath -----------------------------------------------
+
+# the measured bound: the worst scaled error seen over 1,700 beta from
+# nextafter(1, 2) to 1e307 was 2.5e-16; a node is at most three roundings
+# from its exact value (a product of two rounded catalog parts)
+TABLE_BOUND = 3e-16
+
+
+def table_err(beta):
+    """The table's worst scaled error over the base block m, n <= 4 against
+    mpmath at 40 + 2|log10 beta| digits, plus -log10(beta - 1) near 1:
+    beta (1 - sn^2)/sn^2 (u | 1 - 1/beta^2) at u = (m K + i n K')/4, and the
+    exact seeds 0, -beta, -1/beta."""
+    mp = pytest.importorskip("mpmath")
+    dps = 40 + 2 * abs(math.log10(beta)) + max(0.0, -math.log10(beta - 1.0))
+    with mp.workdps(int(dps)):
+        b = mp.mpf(beta)
+        k = 1 / (b * b)
+        quarter_k, quarter_kp = mp.ellipk(1 - k) / 4, mp.ellipk(k) / 4
+        ref = {(4, 0): mp.mpf(0), (0, 4): -b, (4, 4): -1 / b}
+        for m in range(5):
+            for n in range(5):
+                if m % 4 or n % 4:
+                    u = mp.mpc(m * quarter_k, n * quarter_kp)
+                    s2 = mp.ellipfun("sn", u, m=1 - k) ** 2
+                    ref[m, n] = b * (1 - s2) / s2
+        t = grid_table(derive_params(beta))
+        return max(
+            float(abs(t.value(m, n) - want) / max(1, abs(want)))
+            for (m, n), want in ref.items()
+        )
+
+
+def _table_betas():
+    rng = random.Random(31)
+    lo, hi = math.log10(math.ulp(1.0)), 100.0
+    return [math.nextafter(1.0, 2.0), 1e100] + [
+        1.0 + 10.0 ** rng.uniform(lo, hi) for _ in range(10)
+    ]
+
+
+@pytest.mark.parametrize("beta", _table_betas())
+def test_table_matches_mpmath(beta):
+    assert table_err(beta) <= TABLE_BOUND
+
+
+_B = tribonacci_b()
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [math.nextafter(_B, 0.0), _B, math.nextafter(_B, 3.0), _B - 1e-9, _B + 1e-9],
+)
+def test_table_matches_mpmath_at_the_double_root(beta):
+    # the order-8 radicand has a double root at b, so its square root keeps
+    # only half the digits of a radicand formed in doubles
+    assert table_err(beta) <= TABLE_BOUND
+
+
+# the largest beta whose table is finite, found by bisection over the doubles
+_LAST_FINITE_BETA = 2.6326606435433477e307
+
+
+def test_table_overflow_is_a_domain_error():
+    t = grid_table(derive_params(_LAST_FINITE_BETA))
+    assert all(cmath.isfinite(v) for _, _, _, v in t.nodes() if not is_pole(v))
+    for beta in (math.nextafter(_LAST_FINITE_BETA, math.inf), 5e307, 1.7e308):
+        with pytest.raises(ValueError) as exc:
+            grid_table(derive_params(beta))
+        assert str(exc.value) == (
+            f"beta = {beta!r} is out of range for the closed-form table: "
+            "-beta*gamma23 overflows a double from beta ~ 2.63e307"
+        )
