@@ -2,16 +2,19 @@
 
 Every value R takes at an eighth-period node (m*omega1 + n*omega2)/4,
 m, n in 0..8, has a nested-radical closed form built from a small catalog of
-constants. The four "order-8" values gamma41..gamma44 carry a sgn(beta - b)
-factor, b the tribonacci constant, that keeps them continuous across the
-double root of their inner radicand. The catalog is formed from the exact
-value of the float beta in stdlib `decimal`, at enough digits to outlast
-every cancellation of its radicals (at either end of beta and at the double
-root), and each of its parts is rounded once to a float. Each quarter-block
-value is computed in floats from its printed symbol, an expression over the
-catalog's parts, compiled once at import. The 81 symbols are the same for
-every beta, built once at import with `conj(X)` and `X` swapped in the
-mirrored ones.
+constants. The four "order-8" values gamma41..gamma44 hold square roots of
+four inner radicands in beta. Each radicand is a perfect square,
+P(w)^2/(sqrt(2) w (w^4 - 1)) in w = sqrt(beta + sqrt(beta^2 - 1)), with P one
+of w^3 + w^2 - w + 1, w^3 - w^2 + w + 1, w^3 - w^2 - w - 1, w^3 + w^2 + w - 1.
+The third has its double root at the tribonacci constant b; its P is the
+tribonacci polynomial in w, and w = b just when beta = b, so P carries the
+sign sgn(beta - b) with no branch. The catalog is formed from the exact value
+of the float beta in stdlib `decimal`, at enough digits to outlast every
+cancellation of its radicals, and each part is rounded once to a float. Each
+quarter-block value is computed in floats from its printed symbol, an
+expression over the catalog's parts, compiled once at import. The 81 symbols
+are the same for every beta, built at import with `conj(X)` and `X` swapped
+in the mirrored ones.
 """
 from __future__ import annotations
 
@@ -23,30 +26,26 @@ from itertools import chain
 from ._backend import CurveParams
 from .evaluate import POLE, NodeValue, mirror_block
 
-_cbrt = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
+_B = 1.8392867552141612
 
 
 def tribonacci_b() -> float:
-    """Real root of x^3 - x^2 - x - 1 (closed cube-root form)."""
-    s = 3.0 * math.sqrt(33.0)
-    return (1.0 + _cbrt(19.0 - s) + _cbrt(19.0 + s)) / 3.0
-
-
-_B = tribonacci_b()
+    """Real root of x^3 - x^2 - x - 1, (1 + cbrt(19 - 3 sqrt(33)) +
+    cbrt(19 + 3 sqrt(33)))/3, correctly rounded to a double."""
+    return _B
 
 
 def _digits(x: float) -> int:
     """Working precision for the radicals of x > 1: 36 digits cover the
-    square root next to the double root at b and the cancellations of order
-    x - 1 >= 2.2e-16 near 1, and 2*log10(x) those of order 1/x^2 at large x."""
+    cancellations of w^3 - w^2 - w - 1 next to b and of order x - 1 near 1,
+    each at most 16 digits for a double x, and 2*log10(x) those of order
+    1/x^2 at large x."""
     return 36 + int(2.0 * math.log10(x))
 
 
-def _ascending(x):
-    """The four values of `ascending_sequence` for a Decimal x, in the
-    current decimal context."""
-    lo = (1 + 1 / x).sqrt()
-    hi = (x + 1).sqrt()
+def _ascending(lo, hi):
+    """The four values of `ascending_sequence` of x from its Decimal roots
+    lo = sqrt(1 + 1/x) and hi = sqrt(x + 1)."""
     return (1 - hi, 1 - lo, 1 + lo, 1 + hi)
 
 
@@ -59,7 +58,8 @@ def ascending_sequence(x: float) -> tuple[float, float, float, float]:
     from decimal import Context, Decimal, localcontext
 
     with localcontext(Context(prec=_digits(x))):
-        return tuple(map(float, _ascending(Decimal(x))))
+        x = Decimal(x)
+        return tuple(map(float, _ascending((1 + 1 / x).sqrt(), (x + 1).sqrt())))
 
 
 class RadicalCatalog(
@@ -90,9 +90,9 @@ class RadicalCatalog(
 def branch_radicand(beta: float) -> float:
     """Inner radicand of gamma43/gamma44: beta/sqrt(beta-1) - 1/sqrt(beta+1) - sqrt(2).
 
-    Nonnegative for beta > 1, with a double root at the tribonacci constant;
-    returned unclamped so callers can see the tiny negative rounding dips
-    right at the root.
+    The paper's float form, nonnegative for beta > 1, and the statement of
+    its double root at b apart from the catalog's cubics in w; returned
+    unclamped, so the tiny negative rounding dips right at the root show.
     """
     beta = float(beta)
     if not math.isfinite(beta) or not beta > 1.0:
@@ -121,35 +121,34 @@ def build_catalog(params: CurveParams) -> RadicalCatalog:
     `_digits(beta)` digits, then rounded once to a float."""
     from decimal import Context, Decimal, localcontext
 
-    sign = 1 if params.beta >= _B else -1   # sgn(beta - b) of gamma43, gamma44
     with localcontext(Context(prec=_digits(params.beta))):
         beta = Decimal(params.beta)
         r2 = Decimal(2).sqrt()
         sb1, sbm1 = (beta + 1).sqrt(), (beta - 1).sqrt()
+        sp, sm = (1 + 1 / beta).sqrt(), (1 - 1 / beta).sqrt()
         inv_delta = sb1 * sbm1 / beta   # sqrt(1 - 1/beta^2)
         delta = 1 / inv_delta
-        d0, d1, d2, d3 = delta_seq = _ascending(delta)
-        sm = (1 - 1 / beta).sqrt()
-        dpm_off = ((1 + 1 / beta).sqrt() - sm) / r2
+        d0, d1, d2, d3 = delta_seq = _ascending((1 + 1 / delta).sqrt(), (delta + 1).sqrt())
+        dpm_off = (sp - sm) / r2
         delta_pm = (1 - dpm_off, 1 + dpm_off)
         tilt = (delta - 1).sqrt()   # of the factor 1 + i*sqrt(delta - 1)
         e_lo, e_hi = (p * inv_delta for p in delta_pm)   # delta_pm/delta
-        # the order-8 forms, from their shared radicals
-        core, inv_sb1 = beta / sbm1, 1 / sb1
+        # the order-8 forms k*(w +- 1)*P(w); a_neg's P has the sign sgn(beta - b)
+        w = (sb1 + sbm1) / r2
+        w2, w3 = w * w, w * w * w
+        k = sb1 / (2 * w2 * beta * (sb1 * sbm1).sqrt())
+        k_pos, k_neg = k * (w + 1), k * (w - 1)
+        a_pos = k_pos * (w3 + w2 - w + 1)
+        b_pos = k_pos * (w3 - w2 + w + 1)
+        a_neg = k_neg * (w3 - w2 - w - 1)
+        b_neg = k_neg * (w3 + w2 + w - 1)
         x, half = 1 - 1 / beta, sb1 / r2
-        q_pos = sb1 * (sb1 + r2).sqrt() / beta
-        q_neg = sb1 * (sb1 - r2).sqrt() / beta
-        a_pos = q_pos * (core - inv_sb1 + r2).sqrt()
-        b_pos = q_pos * (core + inv_sb1 - r2).sqrt()
-        # the branch radicand, with its double root at b
-        a_neg = sign * q_neg * max(core - inv_sb1 - r2, Decimal(0)).sqrt()
-        b_neg = q_neg * (core + inv_sb1 + r2).sqrt()
         lo, hi = 1 - half, half + 1
         return RadicalCatalog(
             gamma_minus_r=float(1 - inv_delta),
             gamma_plus_r=float(1 + inv_delta),
             gamma=_complex(1, -sb1 * sbm1),
-            beta_seq=tuple(map(float, _ascending(beta))),
+            beta_seq=tuple(map(float, _ascending(sp, sb1))),
             delta_seq=tuple(map(float, delta_seq)),
             gamma02=float(1 + d0 * d2 * inv_delta),
             gamma13=float(1 + d1 * d3 * inv_delta),

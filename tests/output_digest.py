@@ -5,9 +5,10 @@ Usage, from any directory, with Python 3.10 or later:
     python tests/output_digest.py
 
 The README says that this output is byte-identical on Python 3.10 to 3.13.
-The script runs each command in-process at 21 fixed beta from 1 + 1e-6 to
-1e12: `verify`, `eval` with every `--what` at points off and on the axes, at
-a pole and at a half-period, and `figure` at its defaults and at 5 x 33. It
+The script runs each command in-process at 22 fixed beta from 1 + 1e-6 to
+1e12, the two doubles next to the tribonacci constant b among them: `verify`,
+`eval` with every `--what` at points off and on the axes, at a pole and at a
+half-period, and `figure` at its defaults and at 5 x 33. It
 hashes each command line with its exit code, stdout, stderr and the text of
 any warning, and prints one hex digest. CI runs it on every Python version
 and fails unless the digests are equal. pytest does not collect this file,
@@ -30,7 +31,8 @@ from octell._backend import GOLDEN_BETA, compute_lattice, derive_params  # noqa:
 from octell.cli import run  # noqa: E402
 
 BETAS = (
-    1.0 + 1e-6, 1.0001, 1.01, 1.2, 1.5, GOLDEN_BETA, 1.8392867552141611, 2.0,
+    1.0 + 1e-6, 1.0001, 1.01, 1.2, 1.5, GOLDEN_BETA, 1.839286755214161,
+    1.8392867552141611, 2.0,
     3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e9, 1e12,
 )
 POINTS = ("0.3+0.2i", "-0.7+0.45i", "0.3", "-0.2i", "0")   # "0" is a pole

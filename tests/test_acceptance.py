@@ -61,10 +61,10 @@ def test_criterion_1_tribonacci_constant(announce):
         ctx.prec = 50
         r = decimal.Decimal(reference_text)
         ref_cubic = float(abs(r**3 - r**2 - r - 1))
-    ok = cubic <= 1e-14 and dec_gap <= 1e-15 and ref_cubic <= 1e-18
+    ok = cubic <= 1e-14 and dec_gap == 0.0 and ref_cubic <= 1e-18
     announce(
         f"criterion 1: {'PASS' if ok else 'FAIL'}  cubic residual {cubic:.2e} "
-        f"(limit 1e-14), reference-decimal gap {dec_gap:.2e} (limit 1e-15), "
+        f"(limit 1e-14), reference-decimal gap {dec_gap:.2e} (limit 0), "
         f"reference cubic residual {ref_cubic:.2e} (limit 1e-18)"
     )
     assert ref_cubic <= 1e-18, (
@@ -74,7 +74,8 @@ def test_criterion_1_tribonacci_constant(announce):
     assert cubic <= 1e-14, (
         f"tribonacci_b() = {b!r} misses its cubic by {cubic:.2e}"
     )
-    assert dec_gap <= 1e-15, (
+    # b is the double nearest the reference, on every Python version
+    assert dec_gap == 0.0, (
         f"tribonacci_b() = {b!r} sits {dec_gap:.2e} from the reference "
         f"decimal {reference_text} (cubic residual {cubic:.2e})"
     )

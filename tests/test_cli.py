@@ -373,7 +373,7 @@ def test_params_and_grid_bytes_are_pinned(capsys, beta):
 # the sha256 that tests/output_digest.py prints, pinned so that a change
 # that moves verify, eval or figure output alike on every Python version
 # fails here, not only a disagreement between versions
-_OUTPUT_DIGEST = "6b4d070b4046dbcb7645c9ad712b114484c79c78cc55174624c8d0996480a8aa"
+_OUTPUT_DIGEST = "c6e9bc7076d5b3c5a3d01e9a1218b02e0cc517a4e19972787fa641beae395fd9"
 
 
 def test_output_digest_is_pinned():

@@ -173,9 +173,59 @@ def test_gamma4_continuous_at_branch_switch():
         lo = gamma4(derive_params(b - 1e-9), which)
         hi = gamma4(derive_params(b + 1e-9), which)
         assert abs(hi - lo) <= 1e-6
-    # exactly at the double root the clamp keeps the radicand evaluable
+    # exactly at b the catalog's cubic w^3 - w^2 - w - 1 crosses zero, with
+    # no radicand to clamp and no branch to take
     at = gamma4(derive_params(b), 43)
     assert cmath.isfinite(at)
+
+
+_B = tribonacci_b()
+
+
+def _gamma4_reference(beta):
+    """gamma41..gamma44 from the paper's q*sqrt(radicand) forms in mpmath at
+    80 digits, with sgn(beta - b) from mpmath's root of x^3 - x^2 - x - 1,
+    each part rounded once to a double."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        be, r2 = mp.mpf(beta), mp.sqrt(2)
+        sb1, sbm1 = mp.sqrt(be + 1), mp.sqrt(be - 1)
+        root = mp.findroot(lambda t: t**3 - t**2 - t - 1, mp.mpf("1.84"))
+        sign = 1 if be >= root else -1
+        core, inv_sb1, inv_delta = be / sbm1, 1 / sb1, sb1 * sbm1 / be
+        q_pos, q_neg = sb1 * mp.sqrt(sb1 + r2) / be, sb1 * mp.sqrt(sb1 - r2) / be
+        a_pos = q_pos * mp.sqrt(core - inv_sb1 + r2)
+        b_pos = q_pos * mp.sqrt(core + inv_sb1 - r2)
+        a_neg = sign * q_neg * mp.sqrt(core - inv_sb1 - r2)
+        b_neg = q_neg * mp.sqrt(core + inv_sb1 + r2)
+        x, lo, hi = 1 - 1 / be, 1 - sb1 / r2, 1 + sb1 / r2
+        parts = (
+            (lo * (x + a_pos) - 1, lo * (-inv_delta - b_pos)),
+            (lo * (x - a_pos) - 1, lo * (inv_delta - b_pos)),
+            (hi * (x - a_neg) - 1, hi * (-inv_delta + b_neg)),
+            (hi * (x + a_neg) - 1, hi * (inv_delta + b_neg)),
+        )
+        return [complex(float(re), float(im)) for re, im in parts]
+
+
+def _betas_next_to_b():
+    near, lo, hi = [_B], _B, _B
+    for _ in range(40):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 3.0)
+        near += [lo, hi]
+    rng = random.Random(32)
+    return sorted(near) + [_B - 1e-9, _B - 1e-12, _B + 1e-12, _B + 1e-9] + [
+        1.0 + 10.0 ** rng.uniform(-12.0, 12.0) for _ in range(20)
+    ]
+
+
+@pytest.mark.parametrize("beta", _betas_next_to_b())
+def test_gamma4_correctly_rounded_next_to_b(beta):
+    # every part of gamma41..gamma44 is the double nearest its exact value,
+    # next to b too, where the paper's radicand has its double root
+    p = derive_params(beta)
+    got = [gamma4(p, which) for which in (41, 42, 43, 44)]
+    assert got == _gamma4_reference(beta)
 
 
 def test_branch_radicand_double_root():
@@ -401,9 +451,6 @@ def _table_betas():
 @pytest.mark.parametrize("beta", _table_betas())
 def test_table_matches_mpmath(beta):
     assert table_err(beta) <= TABLE_BOUND
-
-
-_B = tribonacci_b()
 
 
 @pytest.mark.parametrize(

@@ -624,9 +624,9 @@ _B = tribonacci_b()
     "beta", [_B - 1e-7, _B - 1e-8, _B + 1e-8, _B + 1e-7, 4.5e7, 6e7, 1e8, 1e12]
 )
 def test_verify_passes_next_to_b_and_past_delta_one(beta):
-    # next to the tribonacci constant b the order-8 radicand is of order
-    # (beta - b)^2, and from about 4.5e7 delta rounds to 1 as a float; the
-    # catalog forms both from the exact beta
+    # next to the tribonacci constant b the order-8 cubic w^3 - w^2 - w - 1
+    # cancels to order beta - b, and from about 4.5e7 delta rounds to 1 as a
+    # float; the catalog forms both from the exact beta
     assert verify_grid(beta).verdict == "pass"
 
 
