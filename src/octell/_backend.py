@@ -94,7 +94,8 @@ GOLDEN_BETA = (3.0 + math.sqrt(5.0)) / 2.0
 
 
 def _check_beta(beta: float) -> None:
-    """The curve's domain rule, for `derive_params` and a hand-built `Lattice`."""
+    """The curve's domain rule, for `derive_params` and every entry point
+    that takes a hand-built `CurveParams` or `Lattice`."""
     if not (math.isfinite(beta) and beta > 1.0):
         raise ValueError(f"beta must be a finite number > 1 (got {beta!r})")
 
@@ -175,8 +176,21 @@ class ThetaConstants(
     term is complex x complex. CPython 3.10-3.13 turn a float operand of
     complex arithmetic into complex(x, 0.0) and then run the same product or
     sum, so R is the same bit for bit as with float coefficients, and the
-    mixed float-complex dispatch is skipped at every term; it also keeps R's
-    bits from depending on how a version promotes a float operand.
+    mixed float-complex dispatch is skipped at every term.
+
+    The loop's only float x complex products are b = e * cis and
+    a = qe * ccis, at a point whose t is the previous point's: the moduli
+    exp(s) and q/exp(s) times the unit phase cis = exp(it) =
+    complex(cos t, sin t) and its conjugate. A point at a new t forms b and
+    a by parts, as complex(e cos t, e sin t) and so on. On 3.10-3.13
+    the float is promoted to complex(e, 0.0), and the parts come out as
+    e cos t - 0 sin t and e sin t + 0 cos t; from 3.14 mixed arithmetic gives
+    (e cos t, e sin t) directly. So every nonzero part is the same on every
+    version, and only the sign of a zero part can differ: at t = +-0, where
+    sin t is a zero. t is +-k2 |x| or +-k2 |y|, so t = +-0 only on an axis.
+    There b and a are real, every value of the loop is real up to the sign
+    of a zero imaginary part, and the axis rule keeps only the part of R and
+    of R' that such signs cannot reach: it sets the other one to +0.0.
     """
 
     __slots__ = ()
@@ -253,8 +267,10 @@ class Lattice(namedtuple("Lattice", "omega1 omega2_im beta")):
 def compute_lattice(params) -> Lattice:
     """The lattice of the curve `params` (a `CurveParams`), by the classical
     AGM reduction of the complete elliptic integrals over the root gaps
-    e1-e3 = beta, e1-e2 = 1/beta, e2-e3 = d."""
+    e1-e3 = beta, e1-e2 = 1/beta, e2-e3 = d. ValueError for a beta that is
+    not finite and > 1 (a hand-built record)."""
     beta = params.beta
+    _check_beta(beta)
     sb = math.sqrt(beta)
     w1 = math.pi / (2.0 * agm(sb, 1.0 / sb))
     w2i = math.pi / (2.0 * agm(sb, math.sqrt(params.d)))
@@ -278,7 +294,14 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     verify report one of them is the same at every point: exp(s), expm1(s)
     and q/exp(s) are recomputed only when s differs from the previous
     point's, and cos(t), sin(t) and 2 sin^2(t/2) only when t does. Equal
-    inputs give equal values, so this too keeps the bits.
+    inputs give equal values, so this too keeps the bits. A point at a new
+    t builds b, b - 1 and a by parts, three complex() calls; a run of equal
+    t builds the unit phase cis = complex(cos t, sin t) and its conjugate
+    once, at its second point, and from then on b = e * cis and
+    a = qe * ccis, one float x complex multiply each (`ThetaConstants` says
+    why their bits hold on every version), and b - 1 takes b's imaginary
+    part. So a single point, and a line along which t moves, build no phase
+    and pay nothing for it.
     """
     (w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs,
      eps, px, py, dfac) = theta
@@ -330,9 +353,22 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
             sn = sin(t)
             h = sin(0.5 * t)
             h2 = 2.0 * h * h
-        b = complex(e * c, e * sn)
-        bm1 = complex(em1 * c - h2, e * sn)
-        a = complex(qe * c, -qe * sn)
+            cis = None
+            b = complex(e * c, e * sn)
+            bm1 = complex(em1 * c - h2, e * sn)
+            a = complex(qe * c, -qe * sn)
+        else:
+            # the same t: from its second point on, a run of equal t (a line
+            # along which only s moves) scales the unit phase exp(it) by the
+            # moduli, with the loop's only float x complex products; their
+            # nonzero parts are e c and e sn on every version (see
+            # `ThetaConstants`)
+            if cis is None:
+                cis = complex(c, sn)
+                ccis = complex(c, -sn)
+            b = e * cis
+            a = qe * ccis
+            bm1 = complex(em1 * c - h2, b.imag)
         b2 = b * b
         a2 = a * a
         b3 = b2 * b

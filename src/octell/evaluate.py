@@ -69,11 +69,15 @@ def invert_omega1(values: list) -> list:
 
     The inversion in the unit circle |R| = 1, onto which R maps Re z = omega1/2.
     Its constants are complex-typed, as in the kernel: the same bits as float
-    ones, without the mixed float-complex dispatch.
+    ones, without the mixed float-complex dispatch. conj(v) is divided with
+    a zero part of either sign: CPython's quotient (1 + 0j) / c takes a zero
+    part of c into the answer only through ratio + 0.0 or 0.0 - ratio, ratio
+    being that zero over the other part, and both are +0.0 for either sign.
+    So the bits are those of 1/(conj(v) + 0).
     """
     zero, one = 0j, 1 + 0j
     return [
-        zero if v is POLE else POLE if v == zero else one / (v.conjugate() + zero)
+        zero if v is POLE else POLE if v == zero else one / v.conjugate()
         for v in values
     ]
 
@@ -85,13 +89,14 @@ def invert_omega2(values: list, par: CurveParams) -> list:
     -beta*p/(p + d), p = c + 1/beta, which subtracts no nearly equal numbers
     at large beta (beta - d = 1/beta). The inversion in the red circle
     |R + beta| = beta/delta, onto which R maps Im z = omega2/2. Its constants
-    are complex-typed, as in `invert_omega1`.
+    are complex-typed, as in `invert_omega1`. p is conj(v) + 1/beta with no
+    + 0 first: adding 1/beta + 0j already turns a -0.0 part into +0.0.
     """
     zero = 0j
     nb, ib, d = complex(-par.beta), complex(1.0 / par.beta), complex(par.d)
     return [
         nb if v is POLE
-        else POLE if v == nb or (den := (p := v.conjugate() + zero + ib) + d) == zero
+        else POLE if v == nb or (den := (p := v.conjugate() + ib) + d) == zero
         else nb * p / den
         for v in values
     ]

@@ -123,13 +123,21 @@ _BREAK_TEXT = "inf,0 "
 def _printed(vals, clip: float) -> tuple[str, bool]:
     """The points of vals as text, "x,y " each, with y flipped so the upper
     half plane renders upward, in one %-format, the break token where a
-    value is a pole or beyond the clip radius; and whether none is."""
-    vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
+    value is a pole or beyond the clip radius; and whether none is.
+
+    One pass over |v| decides whether the line is whole; only a line that
+    breaks is copied with the break token substituted."""
+    try:
+        whole = max(map(abs, vals)) <= clip
+    except TypeError:   # abs(POLE): the line breaks at the pole
+        whole = False
+    if not whole:
+        vals = [_BREAK if v is POLE or abs(v) > clip else v for v in vals]
     flat = [0.0] * (2 * len(vals))
     # + 0.0 and 0.0 - turn a zero of either sign into 0
     flat[::2] = [v.real + 0.0 for v in vals]
     flat[1::2] = [0.0 - v.imag for v in vals]
-    return ("%.9g,%.9g " * len(vals)) % tuple(flat), _BREAK not in vals
+    return ("%.9g,%.9g " * len(vals)) % tuple(flat), whole
 
 
 def _conjugated(text: str) -> str:

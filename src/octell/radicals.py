@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain
 
-from ._backend import CurveParams
+from ._backend import CurveParams, _check_beta
 from .evaluate import POLE, NodeValue, mirror_block
 
 _B = 1.8392867552141612
@@ -118,9 +118,11 @@ def _complex(re, im) -> complex:
 
 def build_catalog(params: CurveParams) -> RadicalCatalog:
     """The catalog at params.beta: every part formed from the exact beta at
-    `_digits(beta)` digits, then rounded once to a float."""
+    `_digits(beta)` digits, then rounded once to a float. ValueError for a
+    beta that is not finite and > 1 (a hand-built record)."""
     from decimal import Context, Decimal, localcontext
 
+    _check_beta(params.beta)
     with localcontext(Context(prec=_digits(params.beta))):
         beta = Decimal(params.beta)
         r2 = Decimal(2).sqrt()

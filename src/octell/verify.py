@@ -34,7 +34,7 @@ from collections import namedtuple
 from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
-from ._backend import CurveParams, Lattice, compute_lattice, derive_params
+from ._backend import CurveParams, Lattice, _check_beta, compute_lattice, derive_params
 from .evaluate import (
     POLE,
     _nv_json,
@@ -299,9 +299,11 @@ def half_argument_oracle(params: CurveParams, lat: Lattice):
     table's layout: rows n, so [n][m] is node (m, n).
 
     None marks a node whose branch selection was inconclusive. lat is unused:
-    the oracle needs only the curve.
+    the oracle needs only the curve. ValueError for a beta that is not finite
+    and > 1 (a hand-built record).
     """
     beta = params.beta
+    _check_beta(beta)
     B = [[None] * 5 for _ in range(5)]  # the base block m, n <= 4, rows n
     # exact half-period seeds
     B[0][0], B[0][4], B[4][0], B[4][4] = POLE, 0j, complex(-beta), complex(-1.0 / beta)

@@ -234,6 +234,11 @@ def test_inversions_match_float_constant_reference_bit_for_bit():
         lat = compute_lattice(p)
         values = [POLE, 0j, complex(-beta), complex(-1.0 / beta), complex(1.0 / beta)]
         values += [complex(x, y) for x in (0.0, -0.0, 0.5, -beta) for y in (0.0, -0.0, -2.0)]
+        # conj(v) is divided and shifted with no + 0 first: a -0.0 real part
+        # under a larger imaginary one, of either sign, and v = -1/beta + iy,
+        # where conj(v) + 1/beta has an exactly zero real part
+        values += [complex(-0.0, y) for y in (2.0, -2.0, 1e-300, -1e-300)]
+        values += [complex(-1.0 / beta, y) for y in (0.0, -0.0, -2.0)]
         values += essential_R_values(kernel_points(lat, seed=22), lat)
         got1, want1 = invert_omega1(values), _ref_invert_omega1(values)
         got2, want2 = invert_omega2(values, p), _ref_invert_omega2(values, p)
@@ -577,7 +582,8 @@ def line_runs(lat, seed):
 @pytest.mark.parametrize("beta", KERNEL_BETAS)
 def test_kernel_reuse_along_lines_matches_reference_bit_for_bit(beta):
     # wp_values reuses exp, expm1, cos and sin from the previous point when a
-    # folded coordinate repeats; the point-at-a-time reference recomputes them
+    # folded coordinate repeats, and along a run of equal t forms b and a from
+    # the unit phase exp(it); the point-at-a-time reference recomputes them
     lat = compute_lattice(derive_params(beta))
     pts = line_runs(lat, seed=20)
     ref = [_ref_wp_pair(z, lat.theta) for z in pts]

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import octell
 from octell import derive_params
 
 betas = st.floats(min_value=1.0001, max_value=1e4)
@@ -77,6 +78,30 @@ def test_delta_identity(beta):
 def test_domain_rejected(bad):
     with pytest.raises(ValueError):
         derive_params(bad)
+
+
+ENTRY_POINTS = {
+    "compute_lattice": octell.compute_lattice,
+    "build_catalog": octell.build_catalog,
+    "grid_table": octell.grid_table,
+    "gamma4": lambda p: octell.gamma4(p, 41),
+    "half_argument_oracle": lambda p: octell.half_argument_oracle(p, None),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, 1.0, math.nan, math.inf, -2.0])
+def test_hand_built_params_with_bad_beta_raise_the_domain_error(entry, bad):
+    # a CurveParams built by hand skips derive_params' check; every entry point
+    # that reads beta from it raises derive_params' own error (Lattice.theta's
+    # is in test_lattice.py). Unchecked, compute_lattice and the oracle answer
+    # at 0.5, and the table code raises decimal and math errors
+    par = derive_params(3.0)._replace(beta=bad)
+    with pytest.raises(ValueError) as ref:
+        derive_params(bad)
+    with pytest.raises(ValueError) as exc:
+        ENTRY_POINTS[entry](par)
+    assert str(exc.value) == str(ref.value)
 
 
 def test_just_above_one_accepted():
