@@ -42,7 +42,9 @@ theta forms of the root gaps (also DLMF §23.6(i)) give
 (pi/2w)^2 theta3^2 theta4^2 = 1 in the first case and
 (pi/2w)^2 theta2^2 theta3^2 = 1 in the second: the theta constants drop out.
 
-The series are summed in b = exp(2iv) and a = q/b. On the quarter cell
+The series are summed in b = exp(2iv) and a = q/b, formed at every point
+as cmath.rect(exp(s), t) and the conjugate of cmath.rect(q/exp(s), t), for
+2iv = s + it. On the quarter cell
 0 <= Re z <= w1, 0 <= Im z <= w2i both have modulus at most 1, and the terms
 of theta1(v) pair into (b - 1) times a Laurent polynomial in b, so R keeps
 full relative precision next to the pole. Every other point is folded onto
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import math
 import sys
+from cmath import rect
 from collections import namedtuple
 from functools import cached_property
 from math import cos, exp, expm1, hypot, nan, remainder, sin
@@ -178,19 +181,16 @@ class ThetaConstants(
     sum, so R is the same bit for bit as with float coefficients, and the
     mixed float-complex dispatch is skipped at every term.
 
-    The loop's only float x complex products are b = e * cis and
-    a = qe * ccis, at a point whose t is the previous point's: the moduli
-    exp(s) and q/exp(s) times the unit phase cis = exp(it) =
-    complex(cos t, sin t) and its conjugate. A point at a new t forms b and
-    a by parts, as complex(e cos t, e sin t) and so on. On 3.10-3.13
-    the float is promoted to complex(e, 0.0), and the parts come out as
-    e cos t - 0 sin t and e sin t + 0 cos t; from 3.14 mixed arithmetic gives
-    (e cos t, e sin t) directly. So every nonzero part is the same on every
-    version, and only the sign of a zero part can differ: at t = +-0, where
-    sin t is a zero. t is +-k2 |x| or +-k2 |y|, so t = +-0 only on an axis.
-    There b and a are real, every value of the loop is real up to the sign
-    of a zero imaginary part, and the axis rule keeps only the part of R and
-    of R' that such signs cannot reach: it sets the other one to +0.0.
+    b and a are formed with no float x complex product: b = rect(e, t) and
+    a = rect(qe, t).conjugate(), for the moduli e = exp(s) and qe = q/exp(s).
+    For finite r and phi != 0, cmath.rect(r, phi) on CPython 3.10-3.13 is
+    exactly complex(r cos phi, r sin phi), with the libm cos and sin that
+    `math` calls, and at phi = +-0 it is complex(r, r phi), which is the same
+    two floats, zero sign included. conjugate() negates exactly, and
+    -(qe sin t) is (-qe) sin t bit for bit, so b and a are the by-parts
+    products complex(e cos t, e sin t) and complex(qe cos t, -qe sin t) on
+    each of these versions, as a test pins. rect(qe, -t) is not used for a:
+    it would rest on libm's sin(-t) = -sin(t) and cos(-t) = cos(t) as well.
     """
 
     __slots__ = ()
@@ -293,15 +293,10 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
     folded coordinates s and t, and along a line of the figure or of a
     verify report one of them is the same at every point: exp(s), expm1(s)
     and q/exp(s) are recomputed only when s differs from the previous
-    point's, and cos(t), sin(t) and 2 sin^2(t/2) only when t does. Equal
-    inputs give equal values, so this too keeps the bits. A point at a new
-    t builds b, b - 1 and a by parts, three complex() calls; a run of equal
-    t builds the unit phase cis = complex(cos t, sin t) and its conjugate
-    once, at its second point, and from then on b = e * cis and
-    a = qe * ccis, one float x complex multiply each (`ThetaConstants` says
-    why their bits hold on every version), and b - 1 takes b's imaginary
-    part. So a single point, and a line along which t moves, build no phase
-    and pay nothing for it.
+    point's, and cos(t) and 2 sin^2(t/2) only when t does. Equal inputs give
+    equal values, so this too keeps the bits. Every point then forms b and a
+    with cmath.rect, which `ThetaConstants` shows are the by-parts products,
+    and b - 1 from expm1(s) cos t - 2 sin^2(t/2) and b's imaginary part.
     """
     (w1, w2i, beta, rotated, k2, q, inv_sqrt_q, t_coeffs, n_coeffs,
      eps, px, py, dfac) = theta
@@ -350,25 +345,13 @@ def wp_values(points, theta: ThetaConstants, prime: bool = False) -> list:
         if t != t_prev:
             t_prev = t
             c = cos(t)
-            sn = sin(t)
             h = sin(0.5 * t)
             h2 = 2.0 * h * h
-            cis = None
-            b = complex(e * c, e * sn)
-            bm1 = complex(em1 * c - h2, e * sn)
-            a = complex(qe * c, -qe * sn)
-        else:
-            # the same t: from its second point on, a run of equal t (a line
-            # along which only s moves) scales the unit phase exp(it) by the
-            # moduli, with the loop's only float x complex products; their
-            # nonzero parts are e c and e sn on every version (see
-            # `ThetaConstants`)
-            if cis is None:
-                cis = complex(c, sn)
-                ccis = complex(c, -sn)
-            b = e * cis
-            a = qe * ccis
-            bm1 = complex(em1 * c - h2, b.imag)
+        # (e cos t, e sin t) and (qe cos t, -qe sin t) exactly (see
+        # `ThetaConstants`); b - 1 takes b's imaginary part
+        b = rect(e, t)
+        a = rect(qe, t).conjugate()
+        bm1 = complex(em1 * c - h2, b.imag)
         b2 = b * b
         a2 = a * a
         b3 = b2 * b

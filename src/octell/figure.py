@@ -78,6 +78,10 @@ class FigureConfig(
             raise ValueError("viewport components must be finite")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("viewport must satisfy xmin < xmax and ymin < ymax")
+        # finite corners can still overflow their span, and the SVG's viewBox
+        # and stroke widths with it
+        if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+            raise ValueError("viewport spans xmax - xmin and ymax - ymin must be finite")
         if not self.resolved_clip() > 0.0:
             raise ValueError("clip_radius must be positive")
 

@@ -267,6 +267,21 @@ def test_figure_non_finite_viewport(capsys):
     assert captured.err.startswith("octell: error: viewport")
 
 
+def test_figure_viewport_span_overflow(capsys, tmp_path):
+    # finite corners whose span overflows: an error, and no SVG with inf in it.
+    # +-1e308 is written out in digits, since argparse takes "-1e308" for an
+    # option but "-100...0" for a negative number
+    big = str(10 ** 308)
+    target = tmp_path / "fig.svg"
+    code = run(["figure", "--viewport", "-" + big, big, "-" + big, big,
+                "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("octell: error: viewport")
+    assert not target.exists()
+
+
 def test_out_flag_for_json(tmp_path):
     target = tmp_path / "p.json"
     assert run(["params", "--beta", "2", "--out", str(target)]) == 0

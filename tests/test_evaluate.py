@@ -550,6 +550,34 @@ def test_joint_kernel_matches_reference_bit_for_bit(beta):
     assert [repr(wp_prime(z, lat, p)) for z in pts] == [repr(dr) for _, dr in ref]
 
 
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_rect_parts_are_the_products_by_parts(beta):
+    # the kernel forms b = rect(exp(s), t) and a = rect(q/exp(s), t).conjugate()
+    # and relies on rect(r, t) being (r cos t, r sin t) with math's cos and
+    # sin, bit for bit and zero signs included, over the kernel's range of s
+    # and t: a platform where this breaks fails here before the output digest
+    theta = compute_lattice(derive_params(beta)).theta
+    k2, q = theta.k2, theta.q
+    # t = k2 |x| on the straight lattice, -k2 |y| rotated; s = -k2 |y| or -k2 |x|
+    t_edge, s_edge = (-k2 * theta.w2i, k2 * theta.w1) if theta.rotated else (
+        k2 * theta.w1, k2 * theta.w2i)
+    rng = random.Random(7)
+    ts = [rng.uniform(0.0, 1.0) * t_edge for _ in range(300)]
+    ts += [0.0, -0.0, t_edge, -t_edge, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, 1e-9]
+    ts += [-t for t in ts[:300]]
+    ss = [-rng.uniform(0.0, 1.0) * s_edge for _ in range(30)] + [0.0, -s_edge]
+    for s in ss:
+        for r in (math.exp(s), q / math.exp(s)):
+            for t in ts:
+                c, sn = math.cos(t), math.sin(t)
+                got = cmath.rect(r, t)
+                want = (r * c, r * sn)
+                assert (got.real.hex(), got.imag.hex()) == tuple(map(float.hex, want)), (r, t)
+                got = got.conjugate()
+                want = (r * c, -r * sn)
+                assert (got.real.hex(), got.imag.hex()) == tuple(map(float.hex, want)), (r, t)
+
+
 def line_runs(lat, seed):
     """Runs of points along lines, which share a folded coordinate from one
     point to the next: fixed Re z or Im z, crossing the axes and the cell
@@ -581,9 +609,10 @@ def line_runs(lat, seed):
 
 @pytest.mark.parametrize("beta", KERNEL_BETAS)
 def test_kernel_reuse_along_lines_matches_reference_bit_for_bit(beta):
-    # wp_values reuses exp, expm1, cos and sin from the previous point when a
-    # folded coordinate repeats, and along a run of equal t forms b and a from
-    # the unit phase exp(it); the point-at-a-time reference recomputes them
+    # wp_values reuses exp(s), expm1(s) and q/exp(s) from the previous point
+    # when s repeats, and cos(t) and 2 sin^2(t/2) when t does, and forms b and
+    # a at every point with cmath.rect; the point-at-a-time reference
+    # recomputes all of them and forms b and a by parts
     lat = compute_lattice(derive_params(beta))
     pts = line_runs(lat, seed=20)
     ref = [_ref_wp_pair(z, lat.theta) for z in pts]

@@ -39,6 +39,9 @@ def test_default_config():
         dict(beta=1.0),
         dict(viewport=(0.0, math.inf, -1.0, 1.0)),
         dict(viewport=(-1.0, 1.0, -math.inf, 1.0)),
+        # finite corners whose span xmax - xmin or ymax - ymin overflows
+        dict(viewport=(-1e308, 1e308, -1.0, 1.0)),
+        dict(viewport=(-1.0, 1.0, -1e308, 1e308)),
     ],
 )
 def test_config_validation(kw):
